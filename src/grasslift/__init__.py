@@ -20,8 +20,6 @@ from .matfp import (
     MatrixFp,
     batch_rank,
     hstack,
-    identity_zero,
-    vstack,
     zero_identity,
 )
 from .codes import (

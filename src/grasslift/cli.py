@@ -15,6 +15,7 @@ from pathlib import Path
 import click
 
 from .codes import (
+    DEFAULT_SAMPLE_PAIRS,
     PAIR_GUARD,
     RankMetricCode,
     min_nonzero_rank,
@@ -28,10 +29,12 @@ from .grassmann import (
     anticode_optimal_code,
     code_params,
     dual_code,
+    dual_subspace,
     min_subspace_distance,
     optimal_code_size,
 )
 from .graph import (
+    LABEL_MAX_P,
     adjacency_csv,
     degree_sequence,
     intersection_graph,
@@ -173,11 +176,10 @@ def _verify_grassmann(code: GrassmannianCode, checks, guard, report: RunReport):
             computed = min_subspace_distance(code, pair_guard=guard)
             report.add("distance", claimed["d"], computed)
         elif check == "anticode":
-            d = code.d if code.d is not None else min_subspace_distance(code, pair_guard=guard)
+            d = min_subspace_distance(code, pair_guard=guard)
             bound = anticode_bound(code.n, d, code.k, code.p, "subspace")
             report.add("anticode bound attained", bound, code.M)
         elif check == "dual":
-            code.d = None  # force a fresh scan inside dual_code
             min_subspace_distance(code, pair_guard=guard)
             dual = dual_code(code, pair_guard=guard)
             ok_params = (
@@ -186,8 +188,7 @@ def _verify_grassmann(code: GrassmannianCode, checks, guard, report: RunReport):
                 and dual.d == code.d
                 and dual.k == code.n - code.k
             )
-            double = dual_code(dual, pair_guard=guard)
-            ok_involution = double.word_set() == code.word_set()
+            ok_involution = [dual_subspace(w) for w in dual.words] == list(code.words)
             report.add("dual (n,M,d) preserved, k complemented", True, bool(ok_params))
             report.add("dual involution", True, bool(ok_involution))
         elif check == "graph":
@@ -205,22 +206,30 @@ def _verify_grassmann(code: GrassmannianCode, checks, guard, report: RunReport):
 
 def _verify_matrix(code: RankMetricCode, checks, guard, seed, report: RunReport):
     for check in checks:
-        if check == "mrd":
-            if not code.linear:
-                raise click.UsageError("the mrd check needs a linear matrix code")
-            delta = min_rank_distance(code, pair_guard=guard, seed=seed)
-            bound = singleton_max_dim(code.nrows, code.ncols, delta)
-            report.add("mrd (dimension = Singleton bound)", bound, code.rho)
-        elif check == "distance":
-            delta = min_rank_distance(code, pair_guard=guard, seed=seed)
-            if code.linear:
-                report.add("distance = min nonzero rank", min_nonzero_rank(code), delta)
-            else:
-                report.add("distance", delta, delta)
-        else:
+        if check not in MATRIX_CHECKS:
             raise click.UsageError(
                 f"the {check} check applies to subspace codes, not matrix codes"
             )
+    if "mrd" in checks and not code.linear:
+        raise click.UsageError("the mrd check needs a linear matrix code")
+    if not checks:
+        return
+    delta = min_rank_distance(code, pair_guard=guard, seed=seed)
+    m = len(code.words)
+    npairs = m * (m - 1) // 2
+    if npairs > guard:
+        report.notes.append(
+            f"distance sampled: {DEFAULT_SAMPLE_PAIRS} random pairs (seed {seed}) of "
+            f"{npairs}, plus the full nonzero-rank scan over all {m} words"
+        )
+    for check in checks:
+        if check == "mrd":
+            bound = singleton_max_dim(code.nrows, code.ncols, delta)
+            report.add("mrd (dimension = Singleton bound)", bound, code.rho)
+        elif code.linear:
+            report.add("distance = min nonzero rank", min_nonzero_rank(code), delta)
+        else:
+            report.add("distance", delta, delta)
 
 
 @main.command("verify")
@@ -267,6 +276,8 @@ def cmd_verify(code_path, checks, guard, seed):
 def cmd_graph(p, r, variant, out, adjacency, guard):
     """Build the code's intersection graph and export it as DOT."""
     started = time.perf_counter()
+    if p > LABEL_MAX_P:
+        raise click.UsageError(f"graph labels support p <= {LABEL_MAX_P}, got p={p}")
     try:
         code = anticode_optimal_code(p, r, variant, pair_guard=guard)
         g = intersection_graph(code, pair_guard=guard)

@@ -12,7 +12,10 @@ import json
 import numpy as np
 
 from .codes import PAIR_GUARD
-from .grassmann import GrassmannianCode, Subspace, pairwise_intersection_dims
+from .grassmann import GrassmannianCode, Subspace
+
+# DOT labels write each basis entry as one hex digit.
+LABEL_MAX_P = 16
 
 
 class CodeGraph:
@@ -47,10 +50,9 @@ def intersection_graph(code: GrassmannianCode,
     m = code.M
     if m < 2:
         return CodeGraph(code.words, [])
-    inters = pairwise_intersection_dims(code.words, pair_guard)
+    trivial = code.intersection_dims(pair_guard) == 0
     ii, jj = np.triu_indices(m, 1)
-    edges = [(int(a), int(b)) for a, b, x in zip(ii, jj, inters) if x == 0]
-    return CodeGraph(code.words, edges)
+    return CodeGraph(code.words, zip(ii[trivial].tolist(), jj[trivial].tolist()))
 
 
 def is_complete(graph: CodeGraph) -> bool:
@@ -69,8 +71,8 @@ def degree_sequence(graph: CodeGraph) -> list[int]:
 
 
 def _label(index: int, subspace: Subspace) -> str:
-    if subspace.p > 16:
-        raise ValueError("digit labels support p <= 16")
+    if subspace.p > LABEL_MAX_P:
+        raise ValueError(f"digit labels support p <= {LABEL_MAX_P}")
     digits = "".join(format(int(x), "x") for x in subspace.basis.array.ravel())
     return f"{index}:{digits}"
 

@@ -181,8 +181,7 @@ class GrassmannianCode:
     including the parameters it claims.
     """
 
-    def __init__(self, words, provenance: dict | None = None,
-                 min_distance: int | None = None):
+    def __init__(self, words, provenance: dict | None = None):
         words = tuple(words)
         if not words:
             raise ValueError("a code needs at least one word")
@@ -200,12 +199,21 @@ class GrassmannianCode:
         self.n = n
         self.k = k
         self.p = p
-        self.d = min_distance
+        self.d = None
         self.provenance = dict(provenance or {})
+        self._inters = None
 
     @property
     def M(self) -> int:
         return len(self.words)
+
+    def intersection_dims(self, pair_guard: int = PAIR_GUARD) -> np.ndarray:
+        """Intersection dimensions of all word pairs (triu order), scanned
+        once by :func:`pairwise_intersection_dims`; every check reads them."""
+        if self._inters is None:
+            self._inters = pairwise_intersection_dims(self.words, pair_guard)
+            self._inters.setflags(write=False)
+        return self._inters
 
     def word_set(self) -> frozenset[Subspace]:
         return frozenset(self.words)
@@ -241,7 +249,8 @@ class GrassmannianCode:
 def pairwise_intersection_dims(words, pair_guard: int = PAIR_GUARD,
                                chunk: int = 1 << 15) -> np.ndarray:
     """Intersection dimensions over all unordered word pairs (flat array in
-    triu order).  Equal-dimension words only; batched over GF(p)."""
+    triu order, smallest unsigned dtype holding k).  Equal-dimension words
+    only; batched over GF(p)."""
     m = len(words)
     npairs = m * (m - 1) // 2
     if npairs > pair_guard:
@@ -252,7 +261,7 @@ def pairwise_intersection_dims(words, pair_guard: int = PAIR_GUARD,
     p = words[0].p
     bases = np.stack([w.basis.array for w in words])
     ii, jj = np.triu_indices(m, 1)
-    out = np.empty(npairs, dtype=np.int64)
+    out = np.empty(npairs, dtype=np.min_scalar_type(k))
     for s in range(0, npairs, chunk):
         stacked = np.concatenate([bases[ii[s:s + chunk]], bases[jj[s:s + chunk]]], axis=1)
         out[s:s + chunk] = 2 * k - batch_rank(stacked, p)
@@ -261,31 +270,24 @@ def pairwise_intersection_dims(words, pair_guard: int = PAIR_GUARD,
 
 def min_subspace_distance(code: GrassmannianCode,
                           pair_guard: int = PAIR_GUARD) -> int:
-    """Minimum subspace distance by full pairwise scan; caches code.d."""
+    """Minimum subspace distance from the code's pair scan; caches code.d."""
     if code.M < 2:
         raise ValueError("minimum distance needs at least two words")
-    inters = pairwise_intersection_dims(code.words, pair_guard)
-    d = 2 * (code.k - int(inters.max()))
-    code.d = d
-    return d
+    code.d = 2 * (code.k - int(code.intersection_dims(pair_guard).max()))
+    return code.d
 
 
 def code_params(code: GrassmannianCode,
                 pair_guard: int = PAIR_GUARD) -> tuple[int, int, int, int]:
-    """(n, M, d, k) with M and d recomputed from scratch.
+    """(n, M, d, k) with M recounted and d read from the code's pair scan.
 
-    Raises if a cached minimum distance disagrees with the recomputation.
+    Raises if a cached minimum distance disagrees with the scan.
     """
-    if code.M < 2:
-        raise ValueError("parameters need at least two words")
-    m = len(set(code.words))
     cached = code.d
-    inters = pairwise_intersection_dims(code.words, pair_guard)
-    d = 2 * (code.k - int(inters.max()))
+    d = min_subspace_distance(code, pair_guard)
     if cached is not None and cached != d:
         raise ValueError(f"cached minimum distance {cached} != recomputed {d}")
-    code.d = d
-    return (code.n, m, d, code.k)
+    return (code.n, len(set(code.words)), d, code.k)
 
 
 def lift_code(code: RankMetricCode, pair_guard: int = PAIR_GUARD) -> GrassmannianCode:
@@ -365,12 +367,9 @@ def anticode_optimal_code(p: int, r: int, variant: str = "O",
     )
     if code.M != m_claim:
         raise RuntimeError(f"built {code.M} words, expected {m_claim}")
-    inters = pairwise_intersection_dims(code.words, pair_guard)
-    if int(inters.max()) != 0:
-        raise RuntimeError("some pair of words has a nontrivial intersection")
-    code.d = 2 * (code.k - int(inters.max()))
-    if code.d != 4:
-        raise RuntimeError(f"minimum distance {code.d} != 4")
+    d = min_subspace_distance(code, pair_guard)
+    if d != 4:
+        raise RuntimeError(f"minimum distance {d} != 4")
     return code
 
 

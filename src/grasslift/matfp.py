@@ -165,18 +165,6 @@ def hstack(mats: list[MatrixFp]) -> MatrixFp:
     return MatrixFp(np.hstack([m.array for m in mats]), p)
 
 
-def vstack(mats: list[MatrixFp]) -> MatrixFp:
-    p = mats[0].p
-    if any(m.p != p for m in mats):
-        raise ValueError("modulus mismatch in vstack")
-    return MatrixFp(np.vstack([m.array for m in mats]), p)
-
-
-def identity_zero(m: int, r: int, p: int) -> MatrixFp:
-    """The m x (m + m*r) block matrix (I_m | 0)."""
-    return hstack([MatrixFp.identity(m, p), MatrixFp.zeros(m, m * r, p)])
-
-
 def zero_identity(m: int, r: int, p: int) -> MatrixFp:
     """The m x (m + m*r) block matrix (0 | I_m)."""
     return hstack([MatrixFp.zeros(m, m * r, p), MatrixFp.identity(m, p)])

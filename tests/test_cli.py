@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from grasslift import cli, grassmann
 from grasslift.cli import main
 from grasslift.codes import build_image_code, weight_table_csv
 from grasslift.matfp import MatrixFp
@@ -11,6 +12,30 @@ from grasslift.matfp import MatrixFp
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name with a call counter; returns the counter list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    return count_calls(monkeypatch, grassmann, "pairwise_intersection_dims")
+
+
+def image_code_file(tmp_path, p, r):
+    path = tmp_path / f"image_{p}_{r}.json"
+    path.write_text(json.dumps(build_image_code(p, r, "O").to_dict()))
+    return path
 
 
 def construct(runner, tmp_path, p=2, r=1, variant="O"):
@@ -133,6 +158,17 @@ def test_verify_matrix_code_detects_broken_distance(runner, tmp_path):
     assert "FAIL" in result.output
 
 
+def test_verify_matrix_code_notes_sampled_scan(runner, tmp_path):
+    path = image_code_file(tmp_path, 3, 2)
+    sampled = runner.invoke(main, ["verify", str(path), "--guard", "10", "--seed", "1"])
+    assert sampled.exit_code == 0
+    assert ("note: distance sampled: 100000 random pairs (seed 1) of 3240, "
+            "plus the full nonzero-rank scan over all 81 words") in sampled.output
+    exhaustive = runner.invoke(main, ["verify", str(path)])
+    assert exhaustive.exit_code == 0
+    assert "sampled" not in exhaustive.output
+
+
 def test_verify_graph_check_inapplicable_to_matrix_codes(runner, tmp_path):
     code = build_image_code(2, 1, "O")
     path = tmp_path / "image.json"
@@ -184,6 +220,53 @@ def test_graph_command_rejects_p5(runner, tmp_path):
         main, ["graph", "--p", "5", "--r", "1", "--out", str(tmp_path / "x.dot")]
     )
     assert result.exit_code == 2
+
+
+def test_graph_command_refuses_p_above_label_range(runner, tmp_path, scans):
+    dot = tmp_path / "x.dot"
+    result = runner.invoke(main, ["graph", "--p", "17", "--r", "1", "--out", str(dot)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "p <= 16" in result.output
+    assert not scans and not dot.exists()
+
+
+# ---------------------------------------------------------------------------
+# one pair scan per command
+# ---------------------------------------------------------------------------
+
+def test_construct_scans_pairs_once(runner, tmp_path, scans):
+    result, _ = construct(runner, tmp_path, p=2, r=2)
+    assert result.exit_code == 0
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["params"], 1),
+    (["verify"], 2),  # the code and its dual
+    (["verify", "--checks", "distance,anticode,graph"], 1),
+])
+def test_file_commands_scan_each_code_once(runner, tmp_path, scans, args, expected):
+    _, out = construct(runner, tmp_path, p=2, r=2)
+    scans.clear()
+    result = runner.invoke(main, [args[0], str(out), *args[1:]])
+    assert result.exit_code == 0
+    assert len(scans) == expected
+
+
+def test_graph_scans_pairs_once(runner, tmp_path, scans):
+    result = runner.invoke(
+        main, ["graph", "--p", "2", "--r", "2", "--out", str(tmp_path / "g.dot")]
+    )
+    assert result.exit_code == 0
+    assert len(scans) == 1
+
+
+def test_matrix_verify_computes_distance_once(runner, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, cli, "min_rank_distance")
+    result = runner.invoke(main, ["verify", str(image_code_file(tmp_path, 3, 1))])
+    assert result.exit_code == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
