@@ -212,9 +212,13 @@ def _verify_matrix(code: RankMetricCode, checks, guard, seed, report: RunReport)
             )
     if "mrd" in checks and not code.linear:
         raise click.UsageError("the mrd check needs a linear matrix code")
-    if not checks:
+    try:
+        delta = min_rank_distance(code, pair_guard=guard, seed=seed)
+    except RuntimeError as exc:
+        # The scan contradicts the file's linearity claim, so no distance
+        # derived under that claim is reported.
+        report.add("linear", True, str(exc))
         return
-    delta = min_rank_distance(code, pair_guard=guard, seed=seed)
     m = len(code.words)
     npairs = m * (m - 1) // 2
     if npairs > guard:
@@ -251,6 +255,8 @@ def cmd_verify(code_path, checks, guard, seed):
         unknown = [c for c in selected if c not in ALL_CHECKS]
         if unknown:
             raise click.UsageError(f"unknown checks: {', '.join(unknown)}")
+        if not selected:
+            raise click.UsageError("--checks selects no check")
     report = RunReport(
         "verify", {"file": code_path, "kind": kind, "checks": ",".join(selected)}
     )

@@ -4,7 +4,10 @@ anticode-optimal constant-dimension codes built from lifted matrix codes.
 Every subspace is held as its unique reduced-row-echelon basis, so subspace
 equality is plain matrix equality.  Minimum distances are never taken on
 faith: every construction here recomputes them by a full pairwise scan and
-refuses to return an object whose parameters disagree with the scan.
+refuses to return an object whose parameters disagree with the scan.  The
+scan (:func:`pairwise_intersection_dims`) reduces all later words against
+one word's RREF basis at a time and ranks every pair's remainder; with
+k = 2 or n - k = 2 each remainder has two rows and is ranked by minors.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ class Subspace:
     __slots__ = ("n", "p", "basis")
 
     def __init__(self, basis: MatrixFp):
-        if basis.rank() != basis.nrows or basis.rref() != basis:
+        # An RREF with no zero row has full row rank: one elimination checks both.
+        if basis.rref() != basis or not basis.array.any(axis=1).all():
             raise ValueError("basis is not a canonical RREF basis; use span()")
         self.basis = basis
         self.n = basis.ncols
@@ -246,11 +250,17 @@ class GrassmannianCode:
         return f"GrassmannianCode({self.summary()})"
 
 
-def pairwise_intersection_dims(words, pair_guard: int = PAIR_GUARD,
-                               chunk: int = 1 << 15) -> np.ndarray:
+def pairwise_intersection_dims(words, pair_guard: int = PAIR_GUARD) -> np.ndarray:
     """Intersection dimensions over all unordered word pairs (flat array in
     triu order, smallest unsigned dtype holding k).  Equal-dimension words
-    only; batched over GF(p)."""
+    with 0 < k < n only.
+
+    One-vs-all: every later word B_j is reduced against word i's RREF basis
+    A_i at once, R_j = B_j[:, F] - sum_t B_j[:, piv_t] (x) A_i[t, F] over the
+    free columns F of A_i, and dim(A_i n B_j) = k - rank(R_j).  Each pair's
+    rank is still computed; R_j goes to :func:`batch_rank` with
+    min(k, n - k) rows (transposed when k > n - k).
+    """
     m = len(words)
     npairs = m * (m - 1) // 2
     if npairs > pair_guard:
@@ -259,12 +269,28 @@ def pairwise_intersection_dims(words, pair_guard: int = PAIR_GUARD,
         )
     k = words[0].dim
     p = words[0].p
+    n = words[0].n
     bases = np.stack([w.basis.array for w in words])
-    ii, jj = np.triu_indices(m, 1)
+    pivots = (bases != 0).argmax(axis=2)
+    free = np.ones((m, n), dtype=bool)
+    np.put_along_axis(free, pivots, False, axis=1)
     out = np.empty(npairs, dtype=np.min_scalar_type(k))
-    for s in range(0, npairs, chunk):
-        stacked = np.concatenate([bases[ii[s:s + chunk]], bases[jj[s:s + chunk]]], axis=1)
-        out[s:s + chunk] = 2 * k - batch_rank(stacked, p)
+    start = 0
+    for i in range(m - 1):
+        a, f = bases[i], np.flatnonzero(free[i])
+        later = bases[i + 1:]
+        reduced = later[:, :, f]
+        product = np.empty_like(reduced)
+        # One rank-one update per pivot, reduced each time, so every
+        # intermediate stays inside (-p^2, p^2) as in batch_rank.
+        for t, c in enumerate(pivots[i]):
+            np.multiply(later[:, :, c, None], a[t, f], out=product)
+            reduced -= product
+            reduced %= p
+        if k > n - k:
+            reduced = reduced.transpose(0, 2, 1)
+        out[start:start + len(later)] = k - batch_rank(reduced, p)
+        start += len(later)
     return out
 
 

@@ -2,9 +2,12 @@
 
 One integer entry per cell (no bit packing); everything here is exact and
 sized for exhaustive desk-scale verification rather than throughput.  The
-only performance-sensitive entry point is :func:`batch_rank`, which runs
-Gaussian elimination across a whole stack of small matrices at once so that
-pairwise distance scans stay vectorized.
+only performance-sensitive entry point is :func:`batch_rank`, which ranks a
+whole stack of small matrices at once: two-row stacks through their 2 x 2
+minors, taller ones by Gaussian elimination across the batch.  The
+subspace pair scan sends it one stack per word: the remainders of all later
+words after reduction against that word's RREF basis.  The rank-metric scan
+sends it chunks of word-pair differences.
 """
 
 from __future__ import annotations

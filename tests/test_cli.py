@@ -169,6 +169,34 @@ def test_verify_matrix_code_notes_sampled_scan(runner, tmp_path):
     assert "sampled" not in exhaustive.output
 
 
+@pytest.mark.parametrize("guard_args", [[], ["--guard", "1"]],
+                         ids=["exhaustive", "sampled"])
+def test_verify_false_linearity_claim_fails_cleanly(runner, tmp_path, guard_args):
+    # Declared linear, but I - [[1,1],[0,1]] has rank 1 while every nonzero
+    # word has rank 2, so the words are not closed under subtraction.
+    words = [[[0, 0], [0, 0]], [[1, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [1, 1]]]
+    path = tmp_path / "false_linear.json"
+    path.write_text(json.dumps({"p": 2, "k": 2, "l": 2, "linear": True, "words": words}))
+    result = runner.invoke(main, ["verify", str(path), *guard_args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    checks = [line for line in result.output.splitlines() if line.startswith("check ")]
+    assert len(checks) == 1 and checks[0].endswith(" FAIL")
+    assert "pairwise minimum 1 != minimum nonzero rank 2" in checks[0]
+    assert "RESULT: FAIL" in result.output
+
+
+@pytest.mark.parametrize("kind", ["subspace", "matrix"])
+def test_verify_rejects_empty_check_selection(runner, tmp_path, kind):
+    if kind == "subspace":
+        _, path = construct(runner, tmp_path)
+    else:
+        path = image_code_file(tmp_path, 2, 1)
+    result = runner.invoke(main, ["verify", str(path), "--checks", ","])
+    assert result.exit_code == 2
+    assert "RESULT" not in result.output
+
+
 def test_verify_graph_check_inapplicable_to_matrix_codes(runner, tmp_path):
     code = build_image_code(2, 1, "O")
     path = tmp_path / "image.json"

@@ -65,6 +65,32 @@ def random_invertible(k, p, rng):
             return m
 
 
+def reference_rank(rows, p):
+    """Rank over GF(p) by forward elimination on Python ints; shares no code
+    with the library's kernels."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_intersection_dims(words, p):
+    """dim A + dim B - rank([A; B]) for every pair, in triu order."""
+    return [
+        a.dim + b.dim - reference_rank(a.to_lists() + b.to_lists(), p)
+        for a, b in itertools.combinations(words, 2)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # subspaces and canonical form
 # ---------------------------------------------------------------------------
@@ -84,6 +110,8 @@ def test_subspace_requires_canonical_basis():
         Subspace(MatrixFp([[1, 1], [1, 1]], 2))
     with pytest.raises(ValueError, match="canonical"):
         Subspace(MatrixFp([[0, 1], [1, 0]], 2))
+    with pytest.raises(ValueError, match="canonical"):
+        Subspace(MatrixFp([[1, 0], [0, 0]], 2))  # in RREF, but rank 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -417,6 +445,49 @@ def test_pairwise_guard():
     code = anticode_optimal_code(2, 2, "O")
     with pytest.raises(ValueError, match="guard"):
         pairwise_intersection_dims(code.words, pair_guard=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    n=st.integers(2, 7),
+    data=st.data(),
+)
+def test_pairwise_intersection_dims_matches_python_int_reference(p, n, data):
+    # Words are drawn inside a shared subspace of dimension s, so pairs meet
+    # in dimension >= 2k - s: all intersection dimensions get exercised,
+    # including equal words.  k ranges over 1..n-1, covering k = 1,
+    # k = n - 1, k = n - k and k > n - k.
+    k = data.draw(st.integers(1, n - 1), label="k")
+    s = data.draw(st.integers(k, n), label="s")
+    m = data.draw(st.integers(2, 8), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shared = rng.integers(0, p, size=(s, n))
+    while reference_rank(shared, p) < s:
+        shared = rng.integers(0, p, size=(s, n))
+    words = []
+    while len(words) < m:
+        w = span(MatrixFp(rng.integers(0, p, size=(k, s)) @ shared, p))
+        if w.dim == k:
+            words.append(w)
+    got = pairwise_intersection_dims(words)
+    assert got.dtype == np.min_scalar_type(k)
+    assert got.tolist() == reference_intersection_dims(words, p)
+
+
+@pytest.mark.parametrize("n, k, q", [(5, 2, 2), (5, 3, 2), (4, 2, 3), (4, 3, 3), (6, 4, 2)])
+def test_pairwise_intersection_histogram_over_full_grassmannian(n, k, q):
+    # A fixed k-space meets q^((k-j)^2) [k,j]_q [n-k,k-j]_q others in
+    # dimension j; summed over all M words each unordered pair counts twice.
+    words = enumerate_grassmannian(n, k, q)
+    m = len(words)
+    hist = np.bincount(pairwise_intersection_dims(words, pair_guard=m * m), minlength=k + 1)
+    for j in range(k):
+        meeting = q ** ((k - j) ** 2) * gaussian_coefficient(k, j, q) * (
+            gaussian_coefficient(n - k, k - j, q) if k - j <= n - k else 0
+        )
+        assert 2 * int(hist[j]) == m * meeting
+    assert hist[k] == 0
 
 
 def test_grassmannian_code_round_trip():
