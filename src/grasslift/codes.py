@@ -366,7 +366,8 @@ def build_image_code(p: int, r: int, variant: str = "O",
             f"{n_words} words exceed the materialization guard ({max_words}); "
             "use the streaming scans (image_rank_counts) or pass max_words=None"
         )
-    words = [variant_image(v, variant) for v in enumerate_ext_vectors(p, r)]
+    tuples = _decode_tuples(np.arange(n_words, dtype=np.int64), p, 2 * r)
+    words = [MatrixFp(m, p) for m in _image_batch(tuples, p, variant)]
     return RankMetricCode(words, linear=True, rho=2 * r)
 
 

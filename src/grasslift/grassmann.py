@@ -7,7 +7,8 @@ faith: every construction here recomputes them by a full pairwise scan and
 refuses to return an object whose parameters disagree with the scan.  The
 scan (:func:`pairwise_intersection_dims`) reduces all later words against
 one word's RREF basis at a time and ranks every pair's remainder; with
-k = 2 or n - k = 2 each remainder has two rows and is ranked by minors.
+k = 2 or n - k = 2 each remainder has two rows and is ranked by reducing
+its bottom row against its top row's pivot column.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ class Subspace:
         self.n = basis.ncols
         self.p = basis.p
 
+    @classmethod
+    def _from_rref(cls, basis: MatrixFp) -> "Subspace":
+        """A subspace from a basis already known to be a canonical RREF
+        basis, skipping the check of the public constructor."""
+        out = cls.__new__(cls)
+        out.basis, out.n, out.p = basis, basis.ncols, basis.p
+        return out
+
     @property
     def dim(self) -> int:
         return self.basis.nrows
@@ -70,7 +79,8 @@ def span(rows: MatrixFp) -> Subspace:
     """Row space of an arbitrary generator matrix, canonicalized."""
     reduced = rows.rref()
     nonzero = reduced.array[np.any(reduced.array != 0, axis=1)]
-    return Subspace(MatrixFp(nonzero.reshape(-1, rows.ncols), rows.p))
+    # The nonzero rows of an RREF are a canonical basis already.
+    return Subspace._from_rref(MatrixFp(nonzero.reshape(-1, rows.ncols), rows.p))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:

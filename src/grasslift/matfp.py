@@ -3,11 +3,12 @@
 One integer entry per cell (no bit packing); everything here is exact and
 sized for exhaustive desk-scale verification rather than throughput.  The
 only performance-sensitive entry point is :func:`batch_rank`, which ranks a
-whole stack of small matrices at once: two-row stacks through their 2 x 2
-minors, taller ones by Gaussian elimination across the batch.  The
-subspace pair scan sends it one stack per word: the remainders of all later
-words after reduction against that word's RREF basis.  The rank-metric scan
-sends it chunks of word-pair differences.
+whole stack of small matrices at once: two-row stacks by reducing the
+bottom row against the top row's pivot column, taller ones by Gaussian
+elimination across the batch.  The subspace pair scan sends it one stack
+per word: the remainders of all later words after reduction against that
+word's RREF basis.  The rank-metric scan sends it chunks of word-pair
+differences.
 """
 
 from __future__ import annotations
@@ -184,14 +185,25 @@ def inverse_table(p: int) -> np.ndarray:
 
 
 def _batch_rank_two_rows(a: np.ndarray, p: int) -> np.ndarray:
-    """Rank of (B, 2, C) stacks via 2 x 2 minors: 2 iff some minor is
-    nonzero, else 1 iff some entry is nonzero, else 0."""
-    nonzero = a.any(axis=(1, 2))
-    ncols = a.shape[2]
-    ii, jj = np.triu_indices(ncols, 1)
-    dets = (a[:, 0, ii] * a[:, 1, jj] - a[:, 0, jj] * a[:, 1, ii]) % p
-    full = dets.any(axis=1)
-    return full * 2 + (~full & nonzero) * 1
+    """Rank of (B, 2, C) stacks by reduction against the top row's pivot.
+
+    With c the top row's first nonzero column, x = bot * top[c] - top * bot[c]
+    vanishes mod p exactly when the bottom row is a multiple of the top one
+    (top[c] is invertible), so the rank is 2 iff some entry of x is nonzero,
+    else 1 iff some entry of the stack is.  A zero top row gives c = 0 and
+    x = 0, hence rank [bot != 0].  Products stay below p^2 and differences
+    inside (-p^2, p^2); ``a`` is only read.
+    """
+    top, bot = a[:, 0, :], a[:, 1, :]
+    stacks = np.arange(a.shape[0])
+    c = (top != 0).argmax(axis=1)
+    x = bot * top[stacks, c, None]
+    x -= top * bot[stacks, c, None]
+    x %= p
+    # Entries of x and of a lie in [0, p), so a row sum is zero only when
+    # every entry is; einsum sums along the short axis far faster than any().
+    full = np.einsum("bj->b", x) != 0
+    return np.where(full, 2, np.einsum("bij->b", a) != 0)
 
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
@@ -199,9 +211,10 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
 
     Gaussian elimination runs column by column across the whole batch, with
     per-batch pivot rows tracked in an index vector.  Entries must already
-    be reduced into [0, p).  Two-row stacks short-cut through minors.
+    be reduced into [0, p).  Two-row stacks take a pivot-column reduction
+    that reads the input without copying it.
     """
-    a = np.array(mats, dtype=np.int64)
+    a = np.asarray(mats, dtype=np.int64)
     if a.ndim != 3:
         raise ValueError(f"expected a (B, R, C) stack, got shape {a.shape}")
     nbatch, nrows, ncols = a.shape
@@ -209,6 +222,7 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if nrows == 2:
         return _batch_rank_two_rows(a, p)
+    a = a.copy()  # eliminated in place below
     inv = inverse_table(p)
     row = np.zeros(nbatch, dtype=np.int64)
     row_index = np.arange(nrows)

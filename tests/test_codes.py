@@ -23,6 +23,7 @@ from grasslift.codes import (
     odd_zero_image,
     sample_image_pair_min_rank,
     singleton_max_dim,
+    variant_image,
     weight_table_csv,
     weight_table_rows,
 )
@@ -231,6 +232,15 @@ def test_image_code_p2_r2_all_nonzero_words_rank_2():
     for w in code.words:
         expected = 0 if w.is_zero() else 2
         assert minor_rank(w, 2) == expected
+
+
+@pytest.mark.parametrize("variant", ["O", "E"])
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (3, 1), (3, 2), (7, 1), (7, 2), (13, 1)])
+def test_image_code_words_match_scalar_map_in_order(p, r, variant):
+    # build_image_code uses the vectorized map; the scalar one is the oracle.
+    code = build_image_code(p, r, variant)
+    expected = [variant_image(v, variant) for v in enumerate_ext_vectors(p, r)]
+    assert list(code.words) == expected
 
 
 def test_image_code_rejects_non_construction_primes():

@@ -27,6 +27,8 @@ from grasslift.grassmann import (
     subspace_distance,
 )
 
+from oracles import reference_rank
+
 # Reference words of the optimal (4, 5, 4, 2) code over GF(2), as the full
 # vector sets of the five planes.
 REFERENCE_PLANES_P2_R1 = [
@@ -63,24 +65,6 @@ def random_invertible(k, p, rng):
         m = rng.integers(0, p, size=(k, k))
         if MatrixFp(m, p).rank() == k:
             return m
-
-
-def reference_rank(rows, p):
-    """Rank over GF(p) by forward elimination on Python ints; shares no code
-    with the library's kernels."""
-    rows = [[int(x) % p for x in row] for row in rows]
-    rank = 0
-    for c in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] * inv
-            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def reference_intersection_dims(words, p):
@@ -126,6 +110,28 @@ def test_span_invariant_under_row_operations(p, k, n, seed):
     rows = rng.integers(0, p, size=(k, n))
     scramble = random_invertible(k, p, rng)
     assert span(MatrixFp(rows, p)) == span(MatrixFp(scramble @ rows % p, p))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    rows=st.integers(1, 5),
+    n=st.integers(1, 6),
+    rank=st.integers(0, 5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_span_basis_passes_the_public_check(p, rows, n, rank, seed):
+    # span builds its Subspace without the public constructor's check, so
+    # every basis it returns must pass that check.  Generators are products
+    # of random factors (rank-deficient whenever rank < min(rows, n)) with
+    # some rows zeroed; rank 0 gives the zero matrix.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, n)
+    g = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, n)) % p
+    g[rng.random(rows) < 0.3] = 0
+    s = span(MatrixFp(g, p))
+    assert Subspace(s.basis) == s
+    assert s.dim == reference_rank(g, p)
 
 
 def test_equal_spans_iff_equal_bases():

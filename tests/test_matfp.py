@@ -12,6 +12,10 @@ from grasslift.matfp import (
     zero_identity,
 )
 
+from oracles import reference_rank
+
+MERSENNE_31 = 2_147_483_647
+
 
 def minor_rank_2x2(entries, p):
     """Independent rank oracle for 2 x 2 matrices: determinant plus zero test."""
@@ -208,6 +212,81 @@ def test_batch_rank_matches_scalar_rank():
             batch = rng.integers(0, p, size=(80, *shape))
             expected = np.array([MatrixFp(m, p).rank() for m in batch])
             assert (batch_rank(batch, p) == expected).all(), (p, shape)
+
+
+def two_row_stack(kind, p, ncols, rng):
+    """One random 2 x ncols matrix of the given kind."""
+    top = rng.integers(0, p, size=ncols)
+    bot = rng.integers(0, p, size=ncols)
+    if kind in ("bottom zero", "multiple"):
+        # the top row's first nonzero column moves off column 0 when it can
+        lead = int(rng.integers(0, ncols))
+        top[:lead] = 0
+        top[lead] = int(rng.integers(1, p))
+    if kind == "multiple":
+        bot = top * int(rng.integers(0, p)) % p
+    if kind in ("zero", "top zero"):
+        top[:] = 0
+    if kind in ("zero", "bottom zero"):
+        bot[:] = 0
+    if kind == "top zero":
+        bot[int(rng.integers(0, ncols))] = int(rng.integers(1, p))
+    return np.stack([top, bot])
+
+
+TWO_ROW_KINDS = ["zero", "top zero", "bottom zero", "multiple", "uniform"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13, MERSENNE_31]),
+    ncols=st.integers(1, 8),
+    nstacks=st.integers(1, 40),
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_row_batch_rank_matches_python_int_reference(p, ncols, nstacks, transposed, seed):
+    # The stack kinds take turns, so every kind appears once nstacks >= 5.
+    # Only two-row stacks are ranked, so the generic path's inverse table
+    # is never built at p = 2^31 - 1.
+    rng = np.random.default_rng(seed)
+    stacks = np.stack([
+        two_row_stack(TWO_ROW_KINDS[b % len(TWO_ROW_KINDS)], p, ncols, rng)
+        for b in range(nstacks)
+    ])
+    expected = [reference_rank(m, p) for m in stacks]
+    if transposed:
+        # a non-contiguous (B, 2, C) view of a (B, C, 2) array
+        mats = np.ascontiguousarray(stacks.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert ncols == 1 or not mats.flags.c_contiguous
+    else:
+        mats = stacks.copy()
+    before = mats.copy()
+    mats.setflags(write=False)
+    assert batch_rank(mats, p).tolist() == expected
+    assert np.array_equal(mats, before)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_two_row_batch_rank_every_multiple_at_every_pivot_column(p):
+    # bottom = lambda * top for every lambda and every first nonzero column
+    # of the top row; one more stack per case adds a unit off that line.
+    ncols = 5
+    rng = np.random.default_rng(p)
+    stacks, expected = [], []
+    for lead in range(ncols):
+        top = rng.integers(0, p, size=ncols)
+        top[:lead] = 0
+        top[lead] = int(rng.integers(1, p))
+        for lam in range(p):
+            stacks.append(np.stack([top, top * lam % p]))
+            expected.append(1)
+        if lead + 1 < ncols:
+            bot = top * 2 % p
+            bot[lead + 1] = (bot[lead + 1] + 1) % p
+            stacks.append(np.stack([top, bot]))
+            expected.append(2)
+    assert batch_rank(np.stack(stacks), p).tolist() == expected
 
 
 def test_batch_rank_empty_batch():
