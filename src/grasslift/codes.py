@@ -366,8 +366,7 @@ def build_image_code(p: int, r: int, variant: str = "O",
             f"{n_words} words exceed the materialization guard ({max_words}); "
             "use the streaming scans (image_rank_counts) or pass max_words=None"
         )
-    tuples = _decode_tuples(np.arange(n_words, dtype=np.int64), p, 2 * r)
-    words = [MatrixFp(m, p) for m in _image_batch(tuples, p, variant)]
+    words = [variant_image(v, variant) for v in enumerate_ext_vectors(p, r)]
     return RankMetricCode(words, linear=True, rho=2 * r)
 
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from grasslift.gf import ExtFieldElement, ext_elements, ext_zero
@@ -7,6 +8,8 @@ from grasslift.matfp import MatrixFp
 from grasslift.codes import (
     ExtVector,
     RankMetricCode,
+    _decode_tuples,
+    _image_batch,
     bachoc_weight,
     build_image_code,
     embed_zeros_even,
@@ -236,11 +239,15 @@ def test_image_code_p2_r2_all_nonzero_words_rank_2():
 
 @pytest.mark.parametrize("variant", ["O", "E"])
 @pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (3, 1), (3, 2), (7, 1), (7, 2), (13, 1)])
-def test_image_code_words_match_scalar_map_in_order(p, r, variant):
-    # build_image_code uses the vectorized map; the scalar one is the oracle.
-    code = build_image_code(p, r, variant)
+def test_vectorized_image_map_matches_built_code_in_order(p, r, variant):
+    # The streaming scans image word i as _image_batch of its mixed-radix
+    # digits; build_image_code's scalar map over enumerate_ext_vectors is
+    # the oracle for both the words and their order.
+    tuples = _decode_tuples(np.arange(p ** (2 * r)), p, 2 * r)
+    words = [MatrixFp(m, p) for m in _image_batch(tuples, p, variant)]
     expected = [variant_image(v, variant) for v in enumerate_ext_vectors(p, r)]
-    assert list(code.words) == expected
+    assert words == expected
+    assert words == list(build_image_code(p, r, variant).words)
 
 
 def test_image_code_rejects_non_construction_primes():
