@@ -19,8 +19,6 @@ from .gf import (
 from .matfp import (
     MatrixFp,
     batch_rank,
-    hstack,
-    zero_identity,
 )
 from .codes import (
     ExtVector,

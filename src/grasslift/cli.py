@@ -29,7 +29,7 @@ from .grassmann import (
     anticode_optimal_code,
     code_params,
     dual_code,
-    dual_subspace,
+    dual_subspaces,
     min_subspace_distance,
     optimal_code_size,
 )
@@ -188,7 +188,7 @@ def _verify_grassmann(code: GrassmannianCode, checks, guard, report: RunReport):
                 and dual.d == code.d
                 and dual.k == code.n - code.k
             )
-            ok_involution = [dual_subspace(w) for w in dual.words] == list(code.words)
+            ok_involution = dual_subspaces(dual.words) == list(code.words)
             report.add("dual (n,M,d) preserved, k complemented", True, bool(ok_params))
             report.add("dual involution", True, bool(ok_involution))
         elif check == "graph":

@@ -2,7 +2,8 @@
 
 Vertices are the codewords in the code's own order; two vertices are
 adjacent exactly when the subspaces meet only in zero.  For the optimal
-codes built by this package the graph is complete.
+codes built by this package the graph is complete.  A graph is held as a
+symmetric boolean adjacency matrix.
 """
 
 from __future__ import annotations
@@ -23,14 +24,20 @@ class CodeGraph:
 
     def __init__(self, vertices, edges):
         self.vertices: tuple[Subspace, ...] = tuple(vertices)
-        canon = set()
+        m = len(self.vertices)
+        self.adjacency = np.zeros((m, m), dtype=bool)
         for i, j in edges:
             if i == j:
                 raise ValueError("loops are not allowed")
-            if not (0 <= i < len(self.vertices) and 0 <= j < len(self.vertices)):
+            if not (0 <= i < m and 0 <= j < m):
                 raise ValueError(f"edge ({i}, {j}) out of range")
-            canon.add((min(i, j), max(i, j)))
-        self.edges: frozenset[tuple[int, int]] = frozenset(canon)
+            self.adjacency[i, j] = self.adjacency[j, i] = True
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges as sorted (i, j) pairs with i < j."""
+        ii, jj = np.nonzero(np.triu(self.adjacency))
+        return list(zip(ii.tolist(), jj.tolist()))
 
     @property
     def n_vertices(self) -> int:
@@ -38,7 +45,7 @@ class CodeGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def __repr__(self):
         return f"CodeGraph(vertices={self.n_vertices}, edges={self.n_edges})"
@@ -47,12 +54,11 @@ class CodeGraph:
 def intersection_graph(code: GrassmannianCode,
                        pair_guard: int = PAIR_GUARD) -> CodeGraph:
     """Graph with an edge {i, j} iff words i and j intersect trivially."""
-    m = code.M
-    if m < 2:
-        return CodeGraph(code.words, [])
-    trivial = code.intersection_dims(pair_guard) == 0
-    ii, jj = np.triu_indices(m, 1)
-    return CodeGraph(code.words, zip(ii[trivial].tolist(), jj[trivial].tolist()))
+    graph = CodeGraph(code.words, [])
+    if code.M >= 2:
+        graph.adjacency[np.triu_indices(code.M, 1)] = code.intersection_dims(pair_guard) == 0
+        graph.adjacency |= graph.adjacency.T
+    return graph
 
 
 def is_complete(graph: CodeGraph) -> bool:
@@ -63,11 +69,7 @@ def is_complete(graph: CodeGraph) -> bool:
 
 def degree_sequence(graph: CodeGraph) -> list[int]:
     """Edge count per vertex, in vertex order."""
-    deg = [0] * graph.n_vertices
-    for i, j in graph.edges:
-        deg[i] += 1
-        deg[j] += 1
-    return deg
+    return graph.adjacency.sum(axis=1).tolist()
 
 
 def _label(index: int, subspace: Subspace) -> str:
@@ -82,7 +84,7 @@ def to_dot(graph: CodeGraph) -> str:
     lines = ["graph Gamma {"]
     for i, w in enumerate(graph.vertices):
         lines.append(f'  {i} [label="{_label(i, w)}"];')
-    for i, j in sorted(graph.edges):
+    for i, j in graph.edges:
         lines.append(f"  {i} -- {j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -100,13 +102,13 @@ def vertex_sidecar_json(graph: CodeGraph) -> str:
 
 
 def adjacency_matrix(graph: CodeGraph) -> np.ndarray:
-    m = graph.n_vertices
-    adj = np.zeros((m, m), dtype=np.int64)
-    for i, j in graph.edges:
-        adj[i, j] = adj[j, i] = 1
-    return adj
+    return graph.adjacency.astype(np.int64)
 
 
 def adjacency_csv(graph: CodeGraph) -> str:
-    adj = adjacency_matrix(graph)
-    return "\n".join(",".join(str(int(x)) for x in row) for row in adj) + "\n"
+    """One line of 0/1 entries per vertex, written as one character buffer."""
+    m = graph.n_vertices
+    buf = np.full((m, 2 * m), ord(","), dtype=np.uint8)
+    buf[:, 0::2] = graph.adjacency + ord("0")
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().decode("ascii")

@@ -2,9 +2,11 @@
 anticode-optimal constant-dimension codes built from lifted matrix codes.
 
 Every subspace is held as its unique reduced-row-echelon basis, so subspace
-equality is plain matrix equality.  Minimum distances are never taken on
-faith: every construction here recomputes them by a full pairwise scan and
-refuses to return an object whose parameters disagree with the scan.  The
+equality is plain matrix equality.  A code's words are canonicalized,
+checked or dualized by one :func:`batch_rref` call over all of them.
+Minimum distances are never taken on faith: every construction here
+recomputes them by a full pairwise scan and refuses to return an object
+whose parameters disagree with the scan.  The
 scan (:func:`pairwise_intersection_dims`) reduces all later words against
 one word's RREF basis at a time and ranks every pair's remainder; with
 k = 2 or n - k = 2 each remainder has two rows and is ranked by reducing
@@ -18,7 +20,7 @@ import itertools
 import numpy as np
 
 from .gf import require_construction_prime
-from .matfp import MatrixFp, batch_rank, hstack, zero_identity
+from .matfp import MatrixFp, batch_lift, batch_rank, batch_rref, check_modulus, rref_null_space
 from .codes import PAIR_GUARD, RankMetricCode, build_image_code
 
 ENUMERATION_GUARD = 1 << 20
@@ -34,12 +36,8 @@ class Subspace:
     __slots__ = ("n", "p", "basis")
 
     def __init__(self, basis: MatrixFp):
-        # An RREF with no zero row has full row rank: one elimination checks both.
-        if basis.rref() != basis or not basis.array.any(axis=1).all():
-            raise ValueError("basis is not a canonical RREF basis; use span()")
-        self.basis = basis
-        self.n = basis.ncols
-        self.p = basis.p
+        _require_rref(basis.array[None], basis.p)
+        self.basis, self.n, self.p = basis, basis.ncols, basis.p
 
     @classmethod
     def _from_rref(cls, basis: MatrixFp) -> "Subspace":
@@ -75,12 +73,23 @@ class Subspace:
         return f"Subspace(dim={self.dim}, n={self.n}, p={self.p}, basis={self.to_lists()})"
 
 
+def _require_rref(bases: np.ndarray, p: int) -> None:
+    """Raise unless every basis of a (B, k, n) stack is its own RREF with no zero row."""
+    reduced, ranks = batch_rref(bases, p)
+    if (ranks != bases.shape[1]).any() or (reduced != bases).any():
+        raise ValueError("basis is not a canonical RREF basis; use span()")
+
+
+def _spans(gens: np.ndarray, p: int) -> list[Subspace]:
+    """Canonical row spaces of a (B, R, n) stack of generators, by one elimination."""
+    reduced, ranks = batch_rref(gens, p)
+    # The nonzero rows of an RREF are a canonical basis already.
+    return [Subspace._from_rref(MatrixFp(b[:r], p)) for b, r in zip(reduced, ranks.tolist())]
+
+
 def span(rows: MatrixFp) -> Subspace:
     """Row space of an arbitrary generator matrix, canonicalized."""
-    reduced = rows.rref()
-    nonzero = reduced.array[np.any(reduced.array != 0, axis=1)]
-    # The nonzero rows of an RREF are a canonical basis already.
-    return Subspace._from_rref(MatrixFp(nonzero.reshape(-1, rows.ncols), rows.p))
+    return _spans(rows.array[None], rows.p)[0]
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -107,9 +116,16 @@ def injection_distance(a: Subspace, b: Subspace) -> int:
     return max(a.dim, b.dim) - intersection_dim(a, b)
 
 
+def dual_subspaces(words) -> list[Subspace]:
+    """Orthogonal complements of equal-dimension subspaces of one ambient
+    space: kernels built from the RREF bases, canonicalized in one call."""
+    p = words[0].p
+    return _spans(rref_null_space(np.stack([w.basis.array for w in words]), p), p)
+
+
 def dual_subspace(a: Subspace) -> Subspace:
     """Orthogonal complement under the standard inner product."""
-    return span(a.basis.null_space())
+    return dual_subspaces([a])[0]
 
 
 def gaussian_coefficient(n: int, k: int, q: int) -> int:
@@ -139,7 +155,7 @@ def enumerate_grassmannian(n: int, k: int, p: int,
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if p**n > guard:
         raise ValueError(f"p^n = {p**n} exceeds the enumeration guard ({guard})")
-    out = []
+    cells = []
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
         free = [
@@ -148,15 +164,12 @@ def enumerate_grassmannian(n: int, k: int, p: int,
             for j in range(pivots[i] + 1, n)
             if j not in pivot_set
         ]
-        base = np.zeros((k, n), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            base[i, c] = 1
-        for values in itertools.product(range(p), repeat=len(free)):
-            mat = base.copy()
-            for (i, j), val in zip(free, values):
-                mat[i, j] = val
-            out.append(Subspace(MatrixFp(mat, p)))
-    return out
+        fillings = list(itertools.product(range(p), repeat=len(free)))
+        mats = np.zeros((len(fillings), k, n), dtype=np.int64)
+        mats[:, range(k), pivots] = 1
+        mats[:, [i for i, _ in free], [j for _, j in free]] = fillings
+        cells.append(mats)
+    return _spans(np.concatenate(cells), p)
 
 
 def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> int:
@@ -247,13 +260,14 @@ class GrassmannianCode:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrassmannianCode":
-        p = data["p"]
-        words = []
-        for basis in data["words"]:
-            w = Subspace(MatrixFp(basis, p))
-            if w.n != data["n"] or w.dim != data["k"]:
-                raise ValueError("word does not match the declared (n, k)")
-            words.append(w)
+        p, n, k = data["p"], data["n"], data["k"]
+        check_modulus(p)
+        bases = [np.asarray(b, dtype=np.int64) % p for b in data["words"]]
+        if any(b.shape != (k, n) for b in bases):
+            raise ValueError("word does not match the declared (n, k)")
+        stack = np.array(bases, dtype=np.int64).reshape(len(bases), k, n)
+        _require_rref(stack, p)
+        words = [Subspace._from_rref(MatrixFp(b, p)) for b in stack]
         return cls(words, provenance=data.get("provenance"))
 
     def __repr__(self):
@@ -336,8 +350,8 @@ def lift_code(code: RankMetricCode, pair_guard: int = PAIR_GUARD) -> Grassmannia
     if not code.linear:
         raise ValueError("lifting is defined here for linear rank-metric codes")
     delta = code.delta if len(code.words) > 1 else None
-    words = [span(w.lift()) for w in code.words]
     n = code.nrows + code.ncols
+    words = _spans(batch_lift(code.stacked(), n), code.p)
     claimed = {
         "n": n,
         "M": code.p**code.rho,
@@ -383,14 +397,9 @@ def anticode_optimal_code(p: int, r: int, variant: str = "O",
             f"M={m_claim} means {npairs} verification pairs, over the guard "
             f"({pair_guard}); raise the guard to force the construction"
         )
-    words: list[Subspace] = []
-    for i in range(1, r + 1):
-        image = build_image_code(p, i, variant)
-        pad = MatrixFp.zeros(2, 2 * (r - i), p)
-        eye = MatrixFp.identity(2, p)
-        for a in image.words:
-            words.append(span(hstack([pad, eye, a])))
-    words.append(span(zero_identity(2, r, p)))
+    images = [build_image_code(p, i, variant).stacked() for i in range(1, r + 1)]
+    images.append(np.zeros((1, 2, 0), dtype=np.int64))  # lifts to (0 | I_2)
+    words = _spans(np.concatenate([batch_lift(a, n) for a in images]), p)
     code = GrassmannianCode(
         words,
         provenance={
@@ -415,7 +424,7 @@ def dual_code(code: GrassmannianCode, pair_guard: int = PAIR_GUARD) -> Grassmann
     Size is preserved and dimension becomes n - k; the minimum distance is
     verified to match the original whenever the original carries one.
     """
-    words = [dual_subspace(w) for w in code.words]
+    words = dual_subspaces(code.words)
     claimed = {
         "n": code.n,
         "M": code.M,

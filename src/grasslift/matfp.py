@@ -1,52 +1,35 @@
 """Dense matrices over GF(p): reduced row echelon form, rank, kernels, lifting.
 
-One integer entry per cell (no bit packing); everything here is exact and
-sized for exhaustive desk-scale verification rather than throughput.  The
-only performance-sensitive entry point is :func:`batch_rank`, which ranks a
-whole stack of small matrices at once: two-row stacks by reducing the
-bottom row against the top row's pivot column, taller ones by Gaussian
-elimination across the batch.  The subspace pair scan sends it one stack
-per word: the remainders of all later words after reduction against that
-word's RREF basis.  The rank-metric scan sends it chunks of word-pair
-differences.
+One int64 entry per cell (no bit packing); everything here is exact, and
+moduli above MAX_MODULUS are refused so that products of residues fit.  All
+elimination is one batched Gauss-Jordan kernel, :func:`batch_rref`, run on
+whole stacks of small matrices; a single matrix is a stack of one.
+:func:`batch_rank` ranks two-row stacks by reducing the bottom row against
+the top row's pivot column and sends taller ones to that kernel.  The
+subspace pair scan sends it the remainders of all later words after
+reduction against one word's RREF basis; the rank-metric scan sends it
+chunks of word-pair differences.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .gf import is_prime
 
+# The largest modulus whose residue products (p - 1)^2 fit in int64.
+MAX_MODULUS = 3_037_000_499
+# Stacks eliminated together by batch_rref; bounds its temporaries.
+RREF_CHUNK = 256
 
-def _echelon(a: np.ndarray, p: int):
-    """Reduced row echelon form of ``a`` mod p, plus the pivot column list.
 
-    Pivot choice is the first nonzero entry scanning top to bottom in the
-    current column, so the output is canonical and reproducible.
-    """
-    out = a.copy()
-    rows, cols = out.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(out[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            out[[r, i]] = out[[i, r]]
-        out[r] = out[r] * pow(int(out[r, c]), -1, p) % p
-        col = out[:, c].copy()
-        col[r] = 0
-        if col.any():
-            out = (out - np.outer(col, out[r])) % p
-        pivots.append(c)
-        r += 1
-    return out, pivots
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime no larger than MAX_MODULUS."""
+    # The ceiling comes first: trial division of a huge p would not finish.
+    if p > MAX_MODULUS:
+        raise ValueError(f"modulus {p} exceeds the int64 ceiling {MAX_MODULUS}")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 class MatrixFp:
@@ -59,8 +42,7 @@ class MatrixFp:
     __slots__ = ("p", "array", "_rank")
 
     def __init__(self, entries, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        check_modulus(p)
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"matrix entries must be 2-D, got shape {arr.shape}")
@@ -113,14 +95,12 @@ class MatrixFp:
         return not self.array.any()
 
     def rref(self) -> "MatrixFp":
-        out, _ = _echelon(self.array, self.p)
-        return MatrixFp(out, self.p)
+        return MatrixFp(batch_rref(self.array[None], self.p)[0][0], self.p)
 
     def rank(self) -> int:
         """Number of nonzero rows of the reduced row echelon form."""
         if self._rank is None:
-            _, pivots = _echelon(self.array, self.p)
-            self._rank = len(pivots)
+            self._rank = int(batch_rank(self.array[None], self.p)[0])
         return self._rank
 
     def null_space(self) -> "MatrixFp":
@@ -129,20 +109,8 @@ class MatrixFp:
         Row count is ncols - rank; rows are indexed by the free columns in
         ascending order.
         """
-        reduced, pivots = _echelon(self.array, self.p)
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = np.zeros((len(free), self.ncols), dtype=np.int64)
-        for row_idx, f in enumerate(free):
-            basis[row_idx, f] = 1
-            for i, c in enumerate(pivots):
-                basis[row_idx, c] = (-reduced[i, f]) % self.p
-        return MatrixFp(basis, self.p)
-
-    def lift(self) -> "MatrixFp":
-        """The k x (k+l) standard matrix (I_k | A)."""
-        eye = np.eye(self.nrows, dtype=np.int64)
-        return MatrixFp(np.hstack([eye, self.array]), self.p)
+        reduced, ranks = batch_rref(self.array[None], self.p)
+        return MatrixFp(rref_null_space(reduced[:, :ranks[0]], self.p)[0], self.p)
 
     def to_lists(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.array]
@@ -162,26 +130,71 @@ class MatrixFp:
         return f"MatrixFp({self.to_lists()}, p={self.p})"
 
 
-def hstack(mats: list[MatrixFp]) -> MatrixFp:
-    p = mats[0].p
-    if any(m.p != p for m in mats):
-        raise ValueError("modulus mismatch in hstack")
-    return MatrixFp(np.hstack([m.array for m in mats]), p)
+def batch_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms (zero rows last) and ranks over GF(p) of a
+    (B, R, C) stack whose entries lie in [0, p); the input is not written.
+
+    Gauss-Jordan elimination, RREF_CHUNK stacks at a time, column by column.
+    Each pivot is the first nonzero entry at or below the stack's next pivot
+    row, scaled to 1 by pow(v, -1, p) over the column's distinct pivot values
+    v; products stay below p^2 and differences inside (-p^2, p^2).
+    """
+    check_modulus(p)
+    stack = np.array(mats, dtype=np.int64)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a (B, R, C) stack, got shape {stack.shape}")
+    nbatch, nrows, ncols = stack.shape
+    ranks = np.zeros(nbatch, dtype=np.int64)
+    row_index = np.arange(nrows)
+    for start in range(0, nbatch, RREF_CHUNK):
+        # views: eliminating a and counting pivots in row write through
+        a, row = stack[start:start + RREF_CHUNK], ranks[start:start + RREF_CHUNK]
+        for c in range(ncols):
+            if (row == nrows).all():
+                break
+            cand = (a[:, :, c] != 0) & (row_index[None, :] >= row[:, None])
+            piv = cand.argmax(axis=1)
+            sel = np.flatnonzero(cand[np.arange(len(a)), piv])
+            if sel.size == 0:
+                continue
+            r0, r1 = row[sel], piv[sel]
+            pivot_rows = a[sel, r1, :]
+            a[sel, r1, :] = a[sel, r0, :]
+            values = pivot_rows[:, c].tolist()
+            inverses = {v: pow(v, -1, p) for v in set(values)}
+            scale = np.array([inverses[v] for v in values], dtype=np.int64)
+            pivot_rows = pivot_rows * scale[:, None] % p
+            a[sel, r0, :] = pivot_rows
+            factors = a[sel, :, c]
+            factors[np.arange(sel.size), r0] = 0
+            a[sel] = (a[sel] - factors[:, :, None] * pivot_rows[:, None, :]) % p
+            row[sel] += 1
+    return stack, ranks
 
 
-def zero_identity(m: int, r: int, p: int) -> MatrixFp:
-    """The m x (m + m*r) block matrix (0 | I_m)."""
-    return hstack([MatrixFp.zeros(m, m * r, p), MatrixFp.identity(m, p)])
+def batch_lift(mats: np.ndarray, n: int) -> np.ndarray:
+    """(0 | I_k | A), zero-padded on the left to n columns, for every A of a (B, k, l) stack."""
+    nbatch, k, l = mats.shape
+    out = np.zeros((nbatch, k, n), dtype=np.int64)
+    out[:, :, n - k - l:n - l] = np.eye(k, dtype=np.int64)
+    out[:, :, n - l:] = mats
+    return out
 
 
-@lru_cache(maxsize=None)
-def inverse_table(p: int) -> np.ndarray:
-    """inv[x] for x in [0, p), with inv[0] = 0 as a placeholder."""
-    table = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        table[x] = pow(x, -1, p)
-    table.setflags(write=False)
-    return table
+def rref_null_space(rows: np.ndarray, p: int) -> np.ndarray:
+    """Right kernels {v : A v^T = 0} of a (B, r, C) stack of RREF matrices with
+    no zero row: (B, C - r, C), row i with a 1 at the i-th free column, 0 at the
+    other free columns and minus the pivot rows' entries in that column."""
+    nbatch, rank, ncols = rows.shape
+    leading = np.diff(np.logical_or.accumulate(rows != 0, axis=2), axis=2, prepend=False)
+    pivots = np.nonzero(leading)[2].reshape(nbatch, rank)
+    free = np.nonzero(~leading.any(axis=1))[1].reshape(nbatch, ncols - rank)
+    stacks, kernel_rows = np.arange(nbatch)[:, None], np.arange(ncols - rank)
+    out = np.zeros((nbatch, ncols - rank, ncols), dtype=np.int64)
+    out[stacks, kernel_rows, free] = 1
+    coeffs = np.take_along_axis(rows, free[:, None, :], axis=2).transpose(0, 2, 1)
+    out[stacks[:, :, None], kernel_rows[:, None], pivots[:, None, :]] = -coeffs % p
+    return out
 
 
 def _batch_rank_two_rows(a: np.ndarray, p: int) -> np.ndarray:
@@ -209,39 +222,12 @@ def _batch_rank_two_rows(a: np.ndarray, p: int) -> np.ndarray:
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks over GF(p) of a stack of matrices, shape (B, R, C) -> (B,).
 
-    Gaussian elimination runs column by column across the whole batch, with
-    per-batch pivot rows tracked in an index vector.  Entries must already
-    be reduced into [0, p).  Two-row stacks take a pivot-column reduction
-    that reads the input without copying it.
+    Entries must already be reduced into [0, p).  Two-row stacks take a
+    pivot-column reduction that reads the input without copying it; all
+    others go to :func:`batch_rref`.
     """
     a = np.asarray(mats, dtype=np.int64)
-    if a.ndim != 3:
-        raise ValueError(f"expected a (B, R, C) stack, got shape {a.shape}")
-    nbatch, nrows, ncols = a.shape
-    if nbatch == 0:
-        return np.zeros(0, dtype=np.int64)
-    if nrows == 2:
+    if a.ndim == 3 and a.shape[1] == 2 and a.shape[2]:
+        check_modulus(p)
         return _batch_rank_two_rows(a, p)
-    a = a.copy()  # eliminated in place below
-    inv = inverse_table(p)
-    row = np.zeros(nbatch, dtype=np.int64)
-    row_index = np.arange(nrows)
-    for c in range(ncols):
-        cand = (a[:, :, c] != 0) & (row_index[None, :] >= row[:, None])
-        piv = cand.argmax(axis=1)
-        sel = np.nonzero(cand[np.arange(nbatch), piv])[0]
-        if sel.size == 0:
-            continue
-        r0 = row[sel]
-        r1 = piv[sel]
-        tmp = a[sel, r0, :].copy()
-        a[sel, r0, :] = a[sel, r1, :]
-        a[sel, r1, :] = tmp
-        a[sel, r0, :] = a[sel, r0, :] * inv[a[sel, r0, c]][:, None] % p
-        factors = a[sel, :, c].copy()
-        factors[np.arange(sel.size), r0] = 0
-        a[sel] = (a[sel] - factors[:, :, None] * a[sel, r0, :][:, None, :]) % p
-        row[sel] += 1
-        if (row == nrows).all():
-            break
-    return row
+    return batch_rref(a, p)[1]

@@ -5,11 +5,35 @@ the batched paths can be checked against them for any modulus.
 """
 
 
+def reference_rref(rows, p):
+    """Reduced row echelon form over GF(p) and its rank, on Python ints.
+
+    Column by column: the pivot is the first nonzero entry at or below the
+    next pivot row, scaled to 1, then cleared from every other row.  Zero rows
+    end up last.
+    """
+    rows = [[int(x) % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rows, rank
+
+
 def reference_rank(rows, p):
     """Rank over GF(p) by forward elimination on Python ints."""
     rows = [[int(x) % p for x in row] for row in rows]
     rank = 0
-    for c in range(len(rows[0])):
+    for c in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue

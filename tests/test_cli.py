@@ -220,6 +220,22 @@ def test_verify_unreadable_file(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"p": 4_294_967_311, "n": 4, "k": 2, "provenance": {},
+     "words": [[[1, 0, 0, 0], [0, 1, 0, 0]]]},
+    {"p": 4_294_967_311, "k": 2, "l": 3, "linear": True,
+     "words": [[[0, 0, 0], [0, 0, 0]]]},
+])
+def test_verify_refuses_moduli_above_the_int64_ceiling(runner, tmp_path, payload):
+    # 4294967311 is prime, but products of its residues overflow int64.
+    path = tmp_path / "huge_p.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "exceeds" in result.output
+
+
 # ---------------------------------------------------------------------------
 # graph
 # ---------------------------------------------------------------------------

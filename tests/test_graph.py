@@ -85,9 +85,12 @@ def test_code_graph_validation():
         CodeGraph(code.words, [(1, 1)])
     with pytest.raises(ValueError, match="out of range"):
         CodeGraph(code.words, [(0, 9)])
-    # duplicate and reversed edges collapse to one
+    # duplicate and reversed edges collapse to one; edges come out sorted
     g = CodeGraph(code.words, [(0, 1), (1, 0), (0, 1)])
     assert g.n_edges == 1
+    g = CodeGraph(code.words, [(3, 1), (4, 0), (1, 0), (2, 4)])
+    assert g.edges == [(0, 1), (0, 4), (1, 3), (2, 4)]
+    assert degree_sequence(g) == [2, 2, 1, 1, 2]
 
 
 def test_dot_output_exact():
@@ -128,6 +131,8 @@ def test_adjacency_matrix_and_csv():
     assert rows[0] == "0,1,1,1,1"
     g0 = intersection_graph(two_word_intersecting_code())
     assert adjacency_csv(g0) == "0,0\n0,0\n"
+    g1 = CodeGraph(g.vertices[:3], [(2, 0)])
+    assert adjacency_csv(g1) == "0,0,1\n0,0,0\n1,0,0\n"
 
 
 def test_vertices_keep_code_order():

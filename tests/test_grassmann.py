@@ -512,6 +512,12 @@ def test_from_dict_rejects_non_canonical_words():
     data["words"][0] = [[1, 1, 0, 0], [1, 0, 0, 0]]
     with pytest.raises(ValueError, match="canonical"):
         GrassmannianCode.from_dict(data)
+    data["words"][0] = [[1, 0, 0, 0], [0, 0, 0, 0]]  # in RREF, but rank 1
+    with pytest.raises(ValueError, match="canonical"):
+        GrassmannianCode.from_dict(data)
+    data["words"][0] = [[1, 0, 0], [0, 1, 0]]
+    with pytest.raises(ValueError, match=r"declared \(n, k\)"):
+        GrassmannianCode.from_dict(data)
 
 
 def test_summary_line():

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grasslift.matfp import (
+    MAX_MODULUS,
+    RREF_CHUNK,
     MatrixFp,
+    batch_lift,
     batch_rank,
-    hstack,
-    inverse_table,
-    zero_identity,
+    batch_rref,
+    rref_null_space,
 )
 
-from oracles import reference_rank
+from oracles import reference_rank, reference_rref
 
 MERSENNE_31 = 2_147_483_647
+# The largest prime at or below MAX_MODULUS = isqrt(2^63 - 1).
+LARGEST_PRIME = 3_037_000_493
 
 
 def minor_rank_2x2(entries, p):
@@ -43,6 +47,26 @@ def test_constructor_errors():
         MatrixFp([[1]], 4)
     with pytest.raises(ValueError, match="2-D"):
         MatrixFp([1, 2, 3], 5)
+
+
+def test_moduli_above_the_int64_ceiling_are_refused():
+    p = 4_294_967_311  # prime; (p - 1)^2 overflows int64
+    # rank 1, but int64 products made the old kernel report 2
+    with pytest.raises(ValueError, match="exceeds"):
+        MatrixFp([[p - 1, p - 2, 1], [p - 2, p - 4, 2]], p).rank()
+    for nrows in (2, 3):
+        with pytest.raises(ValueError, match="exceeds"):
+            batch_rank(np.ones((1, nrows, 3), dtype=np.int64), p)
+    with pytest.raises(ValueError, match="exceeds"):
+        batch_rref(np.ones((1, 2, 3), dtype=np.int64), p)
+    # The ceiling is checked before primality, so a huge modulus is refused
+    # at once instead of being trial-divided.
+    with pytest.raises(ValueError, match="exceeds"):
+        MatrixFp([[1]], 10**18 + 3)
+    assert LARGEST_PRIME <= MAX_MODULUS
+    assert MatrixFp([[1]], LARGEST_PRIME).rank() == 1
+    with pytest.raises(ValueError, match="exceeds"):
+        MatrixFp([[1]], 3_037_000_507)  # the smallest prime above the ceiling
 
 
 def test_add_sub_neg():
@@ -168,50 +192,79 @@ def test_null_space_of_empty_matrix_is_full_space():
 
 
 # ---------------------------------------------------------------------------
-# lift and the standard block matrices
+# lift
 # ---------------------------------------------------------------------------
 
 def test_lift_examples():
-    assert MatrixFp([[0, 1], [1, 0]], 2).lift().to_lists() == [
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
+    mats = np.array([[[0, 1], [1, 0]], [[1, 1], [0, 1]], [[0, 0], [0, 0]]])
+    assert batch_lift(mats, 4).tolist() == [
+        [[1, 0, 0, 1], [0, 1, 1, 0]],
+        [[1, 0, 1, 1], [0, 1, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0]],
     ]
-    assert MatrixFp([[1, 1], [0, 1]], 2).lift().to_lists() == [
-        [1, 0, 1, 1],
-        [0, 1, 0, 1],
+    # zero columns pad on the left; an empty A lifts to (0 | I)
+    assert batch_lift(mats[:1], 6).tolist() == [[[0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 1, 0]]]
+    assert batch_lift(np.zeros((1, 2, 0), dtype=np.int64), 4).tolist() == [
+        [[0, 0, 1, 0], [0, 0, 0, 1]],
     ]
-    assert MatrixFp.zeros(2, 2, 2).lift().to_lists() == [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-    ]
-
-
-def test_block_matrices():
-    assert zero_identity(2, 1, 2).to_lists() == [[0, 0, 1, 0], [0, 0, 0, 1]]
-    m = zero_identity(2, 2, 2)
-    assert m.shape == (2, 6)
-    assert m.to_lists() == [[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
-
-
-def test_stacking():
-    a = MatrixFp([[1, 0]], 3)
-    b = MatrixFp([[0, 2]], 3)
-    assert hstack([a, b]).to_lists() == [[1, 0, 0, 2]]
-    with pytest.raises(ValueError, match="modulus mismatch"):
-        hstack([a, MatrixFp([[1, 1]], 2)])
 
 
 # ---------------------------------------------------------------------------
-# batched rank
+# the batched kernels
 # ---------------------------------------------------------------------------
 
-def test_batch_rank_matches_scalar_rank():
-    rng = np.random.default_rng(17)
-    for p in (2, 3, 5, 13):
-        for shape in ((2, 4), (3, 3), (4, 10), (2, 6), (6, 5)):
-            batch = rng.integers(0, p, size=(80, *shape))
-            expected = np.array([MatrixFp(m, p).rank() for m in batch])
-            assert (batch_rank(batch, p) == expected).all(), (p, shape)
+def low_rank_stack(p, nstacks, nrows, ncols, rng):
+    """(B, R, C) stack of products of random (R, r) and (r, C) factors, r
+    drawn per stack, so every rank occurs at any p.  The products are taken
+    on Python ints, so they do not overflow at large p."""
+    out = np.zeros((nstacks, nrows, ncols), dtype=np.int64)
+    for b in range(nstacks):
+        r = int(rng.integers(0, min(nrows, ncols) + 1))
+        left = rng.integers(0, p, size=(nrows, r)).astype(object)
+        right = rng.integers(0, p, size=(r, ncols)).astype(object)
+        if r:
+            out[b] = (left @ right % p).astype(np.int64)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 13, MERSENNE_31, LARGEST_PRIME]),
+    nrows=st.integers(0, 6),
+    ncols=st.integers(0, 7),
+    nstacks=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, nrows=4, ncols=5, nstacks=2 * RREF_CHUNK + 3, seed=0)  # three chunks
+@example(p=LARGEST_PRIME, nrows=5, ncols=6, nstacks=RREF_CHUNK + 1, seed=1)
+@example(p=LARGEST_PRIME, nrows=2, ncols=6, nstacks=40, seed=2)
+@example(p=5, nrows=0, ncols=3, nstacks=2, seed=0)
+@example(p=5, nrows=3, ncols=0, nstacks=2, seed=0)
+def test_batch_rank_matches_scalar_rank(p, nrows, ncols, nstacks, seed):
+    # The one elimination kernel against the Python-int oracle: reduced
+    # forms, ranks (both batch_rank paths) and the kernels of the reduced
+    # forms' nonzero rows.  The input is read-only and must be unchanged.
+    mats = low_rank_stack(p, nstacks, nrows, ncols, np.random.default_rng(seed))
+    before = mats.copy()
+    mats.setflags(write=False)
+    expected = [reference_rref(m.tolist(), p) for m in mats]
+    reduced, ranks = batch_rref(mats, p)
+    assert reduced.tolist() == [rows for rows, _ in expected]
+    assert ranks.tolist() == [rank for _, rank in expected]
+    assert batch_rank(mats, p).tolist() == [reference_rank(m.tolist(), p) for m in mats]
+    for rank in set(ranks.tolist()):
+        sel = np.flatnonzero(ranks == rank)
+        kernels = rref_null_space(reduced[sel, :rank], p)
+        assert kernels.shape == (sel.size, ncols - rank, ncols)
+        for b, basis in zip(sel, kernels.tolist()):
+            # each vector orthogonal to every row; the unit vectors on the free
+            # columns, so the ncols - rank vectors are independent
+            pivots = [next(c for c, x in enumerate(row) if x) for row in expected[b][0][:rank]]
+            free = [c for c in range(ncols) if c not in pivots]
+            assert [[v[f] for f in free] for v in basis] == np.eye(len(free), dtype=int).tolist()
+            for row in mats[b].tolist():
+                assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for v in basis)
+    assert np.array_equal(mats, before)
 
 
 def two_row_stack(kind, p, ncols, rng, step):
@@ -255,8 +308,6 @@ TWO_ROW_KINDS = ["zero", "top zero", "bottom zero", "multiple", "uniform"]
 @example(p=13, ncols=6, nstacks=390, transposed=True, seed=0)
 def test_two_row_batch_rank_matches_python_int_reference(p, ncols, nstacks, transposed, seed):
     # The stack kinds take turns, so every kind appears once nstacks >= 5.
-    # Only two-row stacks are ranked, so the generic path's inverse table
-    # is never built at p = 2^31 - 1.
     rng = np.random.default_rng(seed)
     offset = int(rng.integers(0, 2**31))
     stacks = np.stack([
@@ -284,11 +335,3 @@ def test_batch_rank_empty_batch():
 def test_batch_rank_rejects_flat_input():
     with pytest.raises(ValueError, match="stack"):
         batch_rank(np.zeros((2, 2), dtype=np.int64), 3)
-
-
-def test_inverse_table():
-    for p in (2, 3, 7, 13):
-        table = inverse_table(p)
-        assert table[0] == 0
-        for x in range(1, p):
-            assert table[x] * x % p == 1
