@@ -12,11 +12,17 @@ and ``even_zero_image`` places zeros in the even slots (block
 [[a, b], [b, a+b]]).  For primes p with p % 5 in {2, 3} every nonzero image
 of either derived map has rank 2, which makes their full images linear
 rank-metric codes that meet the Singleton bound exactly.
+
+The rank scans send stacks of at most CHUNK words to matfp.batch_rank.  The
+image of (GF(p^2))^r streams as a product of per-coordinate 2 x 2 blocks: a
+table of the trailing coordinates' images behind a few leading blocks.  The
+exhaustive pair scan takes each word against all later ones.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import numpy as np
 
@@ -24,10 +30,11 @@ from .gf import ExtFieldElement, ext_elements, ext_zero, require_construction_pr
 from .matfp import MatrixFp, batch_rank
 
 # Materialization cap for explicit word lists and cap on exhaustive pairwise
-# scans; larger cases go through the vectorized streaming scans below.
+# scans; larger cases go through the streaming scans below, CHUNK at a time.
 WORD_GUARD = 1 << 16
 PAIR_GUARD = 1 << 24
 DEFAULT_SAMPLE_PAIRS = 100_000
+CHUNK = 1 << 16
 
 VARIANTS = ("O", "E")
 
@@ -268,16 +275,36 @@ def min_nonzero_rank(code: RankMetricCode) -> int:
     return int(nz.min())
 
 
-def _pair_min_rank(arr: np.ndarray, p: int, ii: np.ndarray, jj: np.ndarray,
-                   chunk: int = 1 << 16) -> int:
-    best = None
+def _min_rank(diffs, p: int) -> int | None:
+    """Minimum rank over a stream of (B, R, C) stacks of residue differences;
+    each lies in (-p, p) and is moved into [0, p) in place.  None if empty."""
+    return min((int(batch_rank(np.add(d, (d < 0) * p, out=d), p).min()) for d in diffs),
+               default=None)
+
+
+def _sampled_diffs(words, ii: np.ndarray, jj: np.ndarray, chunk: int = CHUNK):
+    """words(ii) - words(jj), ``chunk`` pairs at a time; words(idx) is a stack."""
     for s in range(0, ii.size, chunk):
-        diffs = (arr[ii[s:s + chunk]] - arr[jj[s:s + chunk]]) % p
-        m = int(batch_rank(diffs, p).min())
-        best = m if best is None else min(best, m)
-        if best == 0:
-            break
-    return best
+        yield words(ii[s:s + chunk]) - words(jj[s:s + chunk])
+
+
+def _all_pair_diffs(arr: np.ndarray, chunk: int = CHUNK):
+    """arr[j] - arr[i] for every i < j, i-major, in one reused buffer of
+    ``chunk`` stacks; a row of pairs that does not fit continues in the next."""
+    m = len(arr)
+    buf = np.empty((min(chunk, m * (m - 1) // 2),) + arr.shape[1:], dtype=np.int64)
+    fill = 0
+    for i in range(m - 1):
+        j = i + 1
+        while j < m:
+            n = min(m - j, len(buf) - fill)
+            np.subtract(arr[j:j + n], arr[i], out=buf[fill:fill + n])
+            fill, j = fill + n, j + n
+            if fill == len(buf):
+                yield buf
+                fill = 0
+    if fill:
+        yield buf[:fill]
 
 
 def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
@@ -296,10 +323,11 @@ def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
     arr = code.stacked()
     p = code.p
     npairs = m * (m - 1) // 2
-    omega = min_nonzero_rank(code) if code.linear else None
+    # A linear code holds zero and m >= 2 distinct words, so some are nonzero.
+    ranks = batch_rank(arr, p) if code.linear else None
+    omega = int(ranks[ranks > 0].min()) if code.linear else None
     if npairs <= pair_guard:
-        ii, jj = np.triu_indices(m, 1)
-        d = _pair_min_rank(arr, p, ii, jj)
+        d = _min_rank(_all_pair_diffs(arr), p)
         if code.linear and d != omega:
             raise RuntimeError(
                 f"pairwise minimum {d} != minimum nonzero rank {omega} "
@@ -316,15 +344,11 @@ def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
     ii = rng.integers(0, m, size=sample_pairs)
     jj = rng.integers(0, m, size=sample_pairs)
     keep = ii != jj
-    ii, jj = ii[keep], jj[keep]
-    # Pin one pair that realizes the minimum: a word of smallest nonzero
-    # rank against the zero word.
-    ranks = batch_rank(arr, p)
-    target = int(np.nonzero(ranks == omega)[0][0])
-    zero_idx = code.words.index(MatrixFp.zeros(code.nrows, code.ncols, p))
-    ii = np.append(ii, target)
-    jj = np.append(jj, zero_idx)
-    sampled = _pair_min_rank(arr, p, ii, jj)
+    # Pin one pair that realizes the minimum: the first word of smallest
+    # nonzero rank against the zero word (the only word of rank 0).
+    ii = np.append(ii[keep], np.flatnonzero(ranks == omega)[0])
+    jj = np.append(jj[keep], np.flatnonzero(ranks == 0)[0])
+    sampled = _min_rank(_sampled_diffs(arr.__getitem__, ii, jj), p)
     if sampled != omega:
         raise RuntimeError(
             f"sampled pairwise minimum {sampled} != minimum nonzero rank {omega}"
@@ -370,20 +394,14 @@ def build_image_code(p: int, r: int, variant: str = "O",
     return RankMetricCode(words, linear=True, rho=2 * r)
 
 
-def _decode_tuples(idx: np.ndarray, p: int, ndigits: int) -> np.ndarray:
-    """Mixed-radix digits of idx, most significant first: shape (B, ndigits)."""
-    place = p ** np.arange(ndigits - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // place[None, :]) % p
-
-
-def _image_batch(tuples: np.ndarray, p: int, variant: str) -> np.ndarray:
-    """Vectorized variant images: (B, 2r) coefficient tuples -> (B, 2, 2r)."""
-    nbatch, width = tuples.shape
-    if width % 2:
-        raise ValueError("coefficient tuples must have even width")
-    out = np.empty((nbatch, 2, width), dtype=np.int64)
-    first = tuples[:, 0::2]
-    second = tuples[:, 1::2]
+def _image_batch(idx: np.ndarray, p: int, length: int, variant: str) -> np.ndarray:
+    """Variant images of the vectors of (GF(p^2))^length with indices idx in
+    enumerate_ext_vectors order (mixed-radix coefficient digits, most
+    significant first): shape (B, 2, 2 length)."""
+    place = p ** np.arange(2 * length - 1, -1, -1, dtype=np.int64)
+    tuples = (idx[:, None] // place) % p
+    out = np.empty((len(idx), 2, 2 * length), dtype=np.int64)
+    first, second = tuples[:, 0::2], tuples[:, 1::2]
     if variant == "O":
         c, d = first, second
         out[:, 0, 0::2] = d
@@ -401,22 +419,35 @@ def _image_batch(tuples: np.ndarray, p: int, variant: str) -> np.ndarray:
     return out
 
 
+def _image_chunks(p: int, r: int, variant: str, chunk: int = CHUNK):
+    """The variant images of (GF(p^2))^r in enumerate_ext_vectors order, as
+    (B, 2, 2r) stacks of at most ``chunk`` words in one reused buffer."""
+    low = 0  # trailing coordinates in the table: the most that fit in a chunk
+    while low < r and p ** (2 * low + 2) <= chunk:
+        low += 1
+    table = _image_batch(np.arange(p ** (2 * low)), p, low, variant)
+    n_lead, step = p ** (2 * (r - low)), max(1, chunk // len(table))
+    buf = np.empty((min(step, n_lead), len(table), 2, 2 * r), dtype=np.int64)
+    buf[:, :, :, 2 * (r - low):] = table
+    for start in range(0, n_lead, step):
+        lead = _image_batch(np.arange(start, min(start + step, n_lead)), p, r - low, variant)
+        buf[:len(lead), :, :, :2 * (r - low)] = lead[:, None]
+        yield buf[:len(lead)].reshape(-1, 2, 2 * r)
+
+
 def image_rank_counts(p: int, r: int, variant: str = "O",
-                      chunk: int = 1 << 16) -> dict[int, int]:
+                      chunk: int = CHUNK) -> dict[int, int]:
     """Rank histogram {0: n0, 1: n1, 2: n2} of the variant image over all
     p^(2r) vectors, streamed so nothing is materialized."""
-    total = p ** (2 * r)
     counts = np.zeros(3, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        mats = _image_batch(_decode_tuples(idx, p, 2 * r), p, variant)
+    for mats in _image_chunks(p, r, variant, chunk):
         counts += np.bincount(batch_rank(mats, p), minlength=3)
     return {i: int(counts[i]) for i in range(3)}
 
 
 def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
                                n_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                               seed: int = 0, chunk: int = 1 << 16) -> int:
+                               seed: int = 0, chunk: int = CHUNK) -> int:
     """Minimum rank of image(u) - image(v) over a seeded sample of distinct
     vector pairs (u, v); companion check for guard-excluded pairwise scans."""
     total = p ** (2 * r)
@@ -424,15 +455,8 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     ia = rng.integers(0, total, size=n_pairs)
     ib = rng.integers(0, total, size=n_pairs)
     keep = ia != ib
-    ia, ib = ia[keep], ib[keep]
-    best = None
-    for s in range(0, ia.size, chunk):
-        ta = _decode_tuples(ia[s:s + chunk], p, 2 * r)
-        tb = _decode_tuples(ib[s:s + chunk], p, 2 * r)
-        diffs = (_image_batch(ta, p, variant) - _image_batch(tb, p, variant)) % p
-        m = int(batch_rank(diffs, p).min())
-        best = m if best is None else min(best, m)
-    return best
+    images = partial(_image_batch, p=p, length=r, variant=variant)
+    return _min_rank(_sampled_diffs(images, ia[keep], ib[keep], chunk), p)
 
 
 def isometry_counterexamples(p: int, guard: int = 1 << 20) -> list[ExtVector]:

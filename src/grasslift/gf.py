@@ -14,20 +14,26 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+# Miller-Rabin on the first 13 prime bases is exact below psi_13, this bound.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test; inputs here are tiny."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin test; raises ValueError for n >= MR_EXACT_BELOW
+    (about 3.3e24), where these bases no longer decide primality."""
+    if n < 2 or any(n % b == 0 for b in MR_BASES):
+        return n in MR_BASES
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"primality is decided exactly below {MR_EXACT_BELOW}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -35,7 +41,7 @@ def is_construction_prime(p: int) -> bool:
     """True iff p is prime and p % 5 is 2 or 3 (so x^2 + x + (p-1) has no
     root mod p and the quadratic extension is a field).
 
-    Returns False for non-primes instead of raising.
+    Returns False for non-primes; raises only past is_prime's exact range.
     """
     return is_prime(p) and p % 5 in (2, 3)
 

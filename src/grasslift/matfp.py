@@ -25,7 +25,7 @@ RREF_CHUNK = 256
 
 def check_modulus(p: int) -> None:
     """Raise ValueError unless p is a prime no larger than MAX_MODULUS."""
-    # The ceiling comes first: trial division of a huge p would not finish.
+    # The ceiling comes first: it refuses every p the int64 kernels cannot hold.
     if p > MAX_MODULUS:
         raise ValueError(f"modulus {p} exceeds the int64 ceiling {MAX_MODULUS}")
     if not is_prime(p):

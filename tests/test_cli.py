@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -102,6 +103,19 @@ def test_construct_guard_exceeded(runner, tmp_path):
     result, _ = construct(runner, tmp_path, p=13, r=2)
     assert result.exit_code == 2
     assert "guard" in result.output
+
+
+@pytest.mark.parametrize("p, message", [
+    (10**18 + 3, "guard"),  # prime, p % 5 == 3: the pair guard refuses it
+    (3317044064679887385961987, "decided exactly below"),  # past the exact range
+])
+def test_construct_refuses_huge_primes_at_once(runner, tmp_path, p, message):
+    started = time.perf_counter()
+    result, _ = construct(runner, tmp_path, p=p, r=1)
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "Traceback" not in result.output
 
 
 # ---------------------------------------------------------------------------

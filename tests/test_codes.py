@@ -2,14 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grasslift import codes
 from grasslift.gf import ExtFieldElement, ext_elements, ext_zero
 from grasslift.matfp import MatrixFp
 from grasslift.codes import (
     ExtVector,
     RankMetricCode,
-    _decode_tuples,
+    _all_pair_diffs,
     _image_batch,
+    _image_chunks,
+    _min_rank,
     bachoc_weight,
     build_image_code,
     embed_zeros_even,
@@ -30,6 +34,7 @@ from grasslift.codes import (
     weight_table_csv,
     weight_table_rows,
 )
+from oracles import reference_pair_min_rank, reference_rank_histogram
 
 
 def ev(p, *pairs):
@@ -240,11 +245,10 @@ def test_image_code_p2_r2_all_nonzero_words_rank_2():
 @pytest.mark.parametrize("variant", ["O", "E"])
 @pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (3, 1), (3, 2), (7, 1), (7, 2), (13, 1)])
 def test_vectorized_image_map_matches_built_code_in_order(p, r, variant):
-    # The streaming scans image word i as _image_batch of its mixed-radix
-    # digits; build_image_code's scalar map over enumerate_ext_vectors is
-    # the oracle for both the words and their order.
-    tuples = _decode_tuples(np.arange(p ** (2 * r)), p, 2 * r)
-    words = [MatrixFp(m, p) for m in _image_batch(tuples, p, variant)]
+    # The streaming scans image word i as _image_batch of index i;
+    # build_image_code's scalar map over enumerate_ext_vectors is the
+    # oracle for both the words and their order.
+    words = [MatrixFp(m, p) for m in _image_batch(np.arange(p ** (2 * r)), p, r, variant)]
     expected = [variant_image(v, variant) for v in enumerate_ext_vectors(p, r)]
     assert words == expected
     assert words == list(build_image_code(p, r, variant).words)
@@ -296,6 +300,23 @@ def test_min_rank_distance_sampled_path_matches_exhaustive():
     code._delta = None
     sampled = min_rank_distance(code, pair_guard=10, sample_pairs=500, seed=1)
     assert sampled == exhaustive
+
+
+def test_sampled_distance_ranks_words_once_and_pins_the_zero_word(monkeypatch):
+    words = list(build_image_code(3, 2, "E").words)
+    words.append(words.pop(0))  # the zero word last
+    code = RankMetricCode(words, linear=True)
+    stacks = []
+    original = codes.batch_rank
+
+    def counted(mats, p):
+        stacks.append(len(mats))
+        return original(mats, p)
+
+    monkeypatch.setattr(codes, "batch_rank", counted)
+    # With no sampled pair, the pinned pair alone must realize the minimum.
+    assert min_rank_distance(code, pair_guard=10, sample_pairs=0) == 2
+    assert stacks == [81, 1]
 
 
 def test_min_rank_distance_guard_for_non_linear():
@@ -457,3 +478,76 @@ def test_scan_counts_agree_with_materialized_ranks():
         for w in code.words:
             counted[w.rank()] += 1
         assert image_rank_counts(p, r, variant) == counted
+
+
+# ---------------------------------------------------------------------------
+# scan generators: every chunk layout against Python-int references
+# ---------------------------------------------------------------------------
+
+def chunk_layouts(p, r):
+    q = p * p
+    return sorted({
+        1,                  # one word per stack
+        q - 1,              # chunk < p^2: no table, every coordinate leads
+        q * (q - 1) + 1,    # not a multiple of the table: last stack partial
+        p ** (2 * r) - 1,   # one coordinate short of the whole image
+        p ** (2 * r),       # the table is the whole image: no leading blocks
+        1 << 16,
+    })
+
+
+@pytest.mark.parametrize("variant", ["O", "E"])
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (7, 1), (7, 2)])
+def test_image_stream_matches_scalar_map_for_every_chunk_layout(p, r, variant):
+    words = [variant_image(v, variant).to_lists() for v in enumerate_ext_vectors(p, r)]
+    histogram = reference_rank_histogram(words, p)
+    for chunk in chunk_layouts(p, r):
+        # The stacks share one buffer, so each is copied before the next.
+        stacks = [m.copy() for m in _image_chunks(p, r, variant, chunk)]
+        assert all(0 < len(m) <= chunk for m in stacks), chunk
+        assert np.concatenate(stacks).tolist() == words, chunk
+        assert image_rank_counts(p, r, variant, chunk=chunk) == histogram, chunk
+
+
+def distinct_words(p, shape, draw_entries):
+    seen = {}
+    for entries in draw_entries:
+        seen.setdefault(tuple(x % p for x in entries), None)
+    return np.array(list(seen), dtype=np.int64).reshape(-1, *shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    ncols=st.integers(1, 4),
+    entries=st.lists(st.lists(st.integers(0, 6), min_size=8, max_size=8),
+                     min_size=2, max_size=14),
+    chunk=st.integers(1, 40),
+)
+def test_pair_scan_matches_double_loop(p, ncols, entries, chunk):
+    arr = distinct_words(p, (2, ncols), [e[:2 * ncols] for e in entries])
+    m = len(arr)
+    if m < 2:
+        return
+    stacks = [d.copy() for d in _all_pair_diffs(arr, chunk)]
+    assert all(0 < len(d) <= chunk for d in stacks)
+    expected = [arr[j] - arr[i] for i in range(m) for j in range(i + 1, m)]
+    np.testing.assert_array_equal(np.concatenate(stacks), expected)
+    words = arr.tolist()
+    assert _min_rank(_all_pair_diffs(arr, chunk), p) == reference_pair_min_rank(words, p)
+    code = RankMetricCode([MatrixFp(w, p) for w in words])
+    assert min_rank_distance(code) == reference_pair_min_rank(words, p)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4, 5, 100])
+def test_pair_scan_non_linear_codes_of_distance_one_and_two(chunk):
+    # Distance 1: B - A = [[-1, 1], [0, 0]] has rank 1, and its entries sum
+    # to 0, so an unreduced difference would read as rank 0.
+    one = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 1], [1, 0]]]
+    # Distance 2: the eight nonzero words of the (3, 1) O image (no zero word,
+    # so not linear); their first row of 7 pairs crosses the chunks above.
+    two = [w.to_lists() for w in build_image_code(3, 1, "O").words if not w.is_zero()]
+    for words, p, d in ((one, 3, 1), (two, 3, 2)):
+        assert reference_pair_min_rank(words, p) == d
+        arr = np.array(words, dtype=np.int64)
+        assert _min_rank(_all_pair_diffs(arr, chunk), p) == d

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from grasslift.gf import (
     ExtFieldElement,
     FieldElement,
+    MR_EXACT_BELOW,
     ext_elements,
     ext_one,
     ext_zero,
@@ -13,6 +14,7 @@ from grasslift.gf import (
     is_prime,
     require_construction_prime,
 )
+from oracles import reference_is_prime
 
 CONSTRUCTION_PRIMES_50 = [2, 3, 7, 13, 17, 23, 37, 43, 47]
 
@@ -48,6 +50,24 @@ def test_construction_primes_up_to_50():
 def test_is_construction_prime_false_for_composites():
     for n in (0, 1, 4, 6, 12, 22, 27, 33):
         assert not is_construction_prime(n)
+
+
+def test_is_prime_matches_trial_division_below_100000():
+    # __wrapped__ skips the cache, which would keep 10^5 entries alive.
+    for n in range(100_000):
+        assert is_prime.__wrapped__(n) == reference_is_prime(n), n
+
+
+def test_is_prime_large_inputs():
+    # Carmichael 561 and the smallest strong pseudoprimes to the prime bases
+    # 2..7, 2..23 and 2..37 (Miller-Rabin on fewer bases calls them prime).
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(1_000_000_007 * 998_244_353)
+    with pytest.raises(ValueError, match="decided exactly below"):
+        is_prime(MR_EXACT_BELOW + 6)  # no factor among the bases
 
 
 def test_require_construction_prime_message():
