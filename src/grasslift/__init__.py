@@ -8,7 +8,6 @@ structure) is re-verified by exhaustive or explicitly-sampled computation.
 
 from .gf import (
     ExtFieldElement,
-    FieldElement,
     ext_elements,
     ext_one,
     ext_zero,

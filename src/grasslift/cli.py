@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .codes import (
     DEFAULT_SAMPLE_PAIRS,
@@ -29,7 +30,7 @@ from .grassmann import (
     anticode_optimal_code,
     code_params,
     dual_code,
-    dual_subspaces,
+    dual_bases,
     min_subspace_distance,
     optimal_code_size,
 )
@@ -188,7 +189,7 @@ def _verify_grassmann(code: GrassmannianCode, checks, guard, report: RunReport):
                 and dual.d == code.d
                 and dual.k == code.n - code.k
             )
-            ok_involution = dual_subspaces(dual.words) == list(code.words)
+            ok_involution = np.array_equal(dual_bases(dual.words, dual.p), code.words)
             report.add("dual (n,M,d) preserved, k complemented", True, bool(ok_params))
             report.add("dual involution", True, bool(ok_involution))
         elif check == "graph":

@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .gf import ExtFieldElement, ext_elements, ext_zero, require_construction_prime
-from .matfp import MatrixFp, batch_rank
+from .matfp import MatrixFp, batch_rank, check_modulus, has_duplicates, int_array
 
 # Materialization cap for explicit word lists and cap on exhaustive pairwise
 # scans; larger cases go through the streaming scans below, CHUNK at a time.
@@ -183,32 +183,22 @@ def variant_image(v: ExtVector, variant: str) -> MatrixFp:
 class RankMetricCode:
     """A finite set of equal-shape matrices over GF(p) under the rank distance.
 
+    ``words`` is one read-only (M, k, l) int64 array of residues mod ``p``,
+    checked here: distinct words and, for a linear code, the zero word.
     ``linear`` marks codes that are GF(p)-subspaces; for those the dimension
-    ``rho`` satisfies |words| = p^rho and the zero matrix must be a word.
-    The minimum distance is computed on demand by :func:`min_rank_distance`
-    and cached.
+    ``rho`` satisfies M = p^rho.  The minimum distance is computed on demand
+    by :func:`min_rank_distance` and cached, as are the word ranks.
     """
 
-    def __init__(self, words, linear: bool = False, rho: int | None = None):
-        words = tuple(words)
-        if not words:
+    def __init__(self, words, p: int, linear: bool = False, rho: int | None = None):
+        check_modulus(p)
+        if not len(words):
             raise ValueError("a code needs at least one word")
-        p = words[0].p
-        shape = words[0].shape
-        for w in words:
-            if not isinstance(w, MatrixFp):
-                raise TypeError("words must be MatrixFp instances")
-            if w.p != p or w.shape != shape:
-                raise ValueError("all words must share one shape and modulus")
-        self.words = words
-        self.word_set = frozenset(words)
-        if len(self.word_set) != len(words):
+        words = int_array(words, 3) % p
+        if has_duplicates(words):
             raise ValueError("duplicate words")
-        self.p = p
-        self.nrows, self.ncols = shape
-        self.linear = linear
         if linear:
-            if MatrixFp.zeros(self.nrows, self.ncols, p) not in self.word_set:
+            if words.any(axis=(1, 2)).all():
                 raise ValueError("a linear code must contain the zero matrix")
             if rho is None:
                 rho = 0
@@ -218,8 +208,13 @@ class RankMetricCode:
                 raise ValueError(
                     f"linear code size {len(words)} is not a power of p={p}"
                 )
+        words.setflags(write=False)
+        self.words, self.p = words, int(p)
+        self.nrows, self.ncols = words.shape[1:]
+        self.linear = linear
         self.rho = rho if linear else None
         self._delta: int | None = None
+        self._ranks: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -228,9 +223,6 @@ class RankMetricCode:
     def __len__(self):
         return len(self.words)
 
-    def __contains__(self, m):
-        return m in self.word_set
-
     @property
     def delta(self) -> int:
         """Minimum rank distance (computed on first access)."""
@@ -238,26 +230,21 @@ class RankMetricCode:
             min_rank_distance(self)
         return self._delta
 
-    def stacked(self) -> np.ndarray:
-        return np.stack([w.array for w in self.words])
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,
             "k": self.nrows,
             "l": self.ncols,
             "linear": self.linear,
-            "words": [w.to_lists() for w in self.words],
+            "words": self.words.tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RankMetricCode":
-        p = data["p"]
-        words = [MatrixFp(w, p) for w in data["words"]]
-        for w in words:
-            if w.shape != (data["k"], data["l"]):
-                raise ValueError("word shape does not match declared (k, l)")
-        return cls(words, linear=bool(data["linear"]))
+        code = cls(data["words"], data["p"], linear=bool(data["linear"]))
+        if code.shape != (data["k"], data["l"]):
+            raise ValueError("word shape does not match declared (k, l)")
+        return code
 
     def __repr__(self):
         return (
@@ -266,9 +253,16 @@ class RankMetricCode:
         )
 
 
+def _word_ranks(code: RankMetricCode) -> np.ndarray:
+    """Ranks of the code's words, computed once per code."""
+    if code._ranks is None:
+        code._ranks = batch_rank(code.words, code.p)
+    return code._ranks
+
+
 def min_nonzero_rank(code: RankMetricCode) -> int:
     """Smallest rank among the nonzero words."""
-    ranks = batch_rank(code.stacked(), code.p)
+    ranks = _word_ranks(code)
     nz = ranks[ranks > 0]
     if nz.size == 0:
         raise ValueError("code has no nonzero word")
@@ -320,11 +314,11 @@ def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
     m = len(code.words)
     if m < 2:
         raise ValueError("minimum distance needs at least two words")
-    arr = code.stacked()
+    arr = code.words
     p = code.p
     npairs = m * (m - 1) // 2
     # A linear code holds zero and m >= 2 distinct words, so some are nonzero.
-    ranks = batch_rank(arr, p) if code.linear else None
+    ranks = _word_ranks(code) if code.linear else None
     omega = int(ranks[ranks > 0].min()) if code.linear else None
     if npairs <= pair_guard:
         d = _min_rank(_all_pair_diffs(arr), p)
@@ -390,8 +384,8 @@ def build_image_code(p: int, r: int, variant: str = "O",
             f"{n_words} words exceed the materialization guard ({max_words}); "
             "use the streaming scans (image_rank_counts) or pass max_words=None"
         )
-    words = [variant_image(v, variant) for v in enumerate_ext_vectors(p, r)]
-    return RankMetricCode(words, linear=True, rho=2 * r)
+    words = np.stack([variant_image(v, variant).array for v in enumerate_ext_vectors(p, r)])
+    return RankMetricCode(words, p, linear=True, rho=2 * r)
 
 
 def _image_batch(idx: np.ndarray, p: int, length: int, variant: str) -> np.ndarray:

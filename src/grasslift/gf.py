@@ -1,4 +1,4 @@
-"""Arithmetic in GF(p) and its quadratic extension GF(p)[w] / (w^2 + w + (p-1)).
+"""Primality and arithmetic in the quadratic extension GF(p)[w] / (w^2 + w + (p-1)).
 
 Extension elements are coefficient pairs a + b*w reduced with w^2 = 1 - w,
 which is the rule forced by the defining polynomial.  For p = 2 this is the
@@ -60,81 +60,6 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
-class FieldElement:
-    """A residue in [0, p) for a prime modulus p."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        _check_modulus(p)
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.value - o.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.p)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ValueError("0 has no multiplicative inverse")
-        return FieldElement(pow(self.value, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __repr__(self):
-        return f"FieldElement({self.value}, p={self.p})"
-
-    def __int__(self):
-        return self.value
-
-
 class ExtFieldElement:
     """Element a + b*w of GF(p^2), reduced with w^2 = 1 - w."""
 
@@ -151,10 +76,6 @@ class ExtFieldElement:
             if other.p != self.p:
                 raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
             return other
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return ExtFieldElement(other.value, 0, self.p)
         if isinstance(other, int):
             return ExtFieldElement(other, 0, self.p)
         return None

@@ -2,8 +2,8 @@
 
 Vertices are the codewords in the code's own order; two vertices are
 adjacent exactly when the subspaces meet only in zero.  For the optimal
-codes built by this package the graph is complete.  A graph is held as a
-symmetric boolean adjacency matrix.
+codes built by this package the graph is complete.  A graph is held as its
+vertices' (M, k, n) basis array and a symmetric boolean adjacency matrix.
 """
 
 from __future__ import annotations
@@ -13,18 +13,19 @@ import json
 import numpy as np
 
 from .codes import PAIR_GUARD
-from .grassmann import GrassmannianCode, Subspace
+from .grassmann import GrassmannianCode
 
 # DOT labels write each basis entry as one hex digit.
 LABEL_MAX_P = 16
 
 
 class CodeGraph:
-    """Simple graph on indexed subspaces: no loops, unordered edges."""
+    """Simple graph on indexed subspaces of GF(p)^n, given as a (M, k, n)
+    stack of RREF bases: no loops, unordered edges."""
 
-    def __init__(self, vertices, edges):
-        self.vertices: tuple[Subspace, ...] = tuple(vertices)
-        m = len(self.vertices)
+    def __init__(self, vertices: np.ndarray, p: int, edges):
+        self.vertices, self.p = vertices, p
+        m = len(vertices)
         self.adjacency = np.zeros((m, m), dtype=bool)
         for i, j in edges:
             if i == j:
@@ -54,7 +55,7 @@ class CodeGraph:
 def intersection_graph(code: GrassmannianCode,
                        pair_guard: int = PAIR_GUARD) -> CodeGraph:
     """Graph with an edge {i, j} iff words i and j intersect trivially."""
-    graph = CodeGraph(code.words, [])
+    graph = CodeGraph(code.words, code.p, [])
     if code.M >= 2:
         graph.adjacency[np.triu_indices(code.M, 1)] = code.intersection_dims(pair_guard) == 0
         graph.adjacency |= graph.adjacency.T
@@ -72,18 +73,16 @@ def degree_sequence(graph: CodeGraph) -> list[int]:
     return graph.adjacency.sum(axis=1).tolist()
 
 
-def _label(index: int, subspace: Subspace) -> str:
-    if subspace.p > LABEL_MAX_P:
-        raise ValueError(f"digit labels support p <= {LABEL_MAX_P}")
-    digits = "".join(format(int(x), "x") for x in subspace.basis.array.ravel())
-    return f"{index}:{digits}"
-
-
 def to_dot(graph: CodeGraph) -> str:
-    """DOT description: one labelled node per vertex, one line per edge."""
+    """DOT description: one labelled node per vertex (its index and its basis
+    entries as hex digits), one line per edge."""
+    if graph.p > LABEL_MAX_P:
+        raise ValueError(f"digit labels support p <= {LABEL_MAX_P}")
+    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    labels = digits[graph.vertices.reshape(graph.n_vertices, -1)]
     lines = ["graph Gamma {"]
-    for i, w in enumerate(graph.vertices):
-        lines.append(f'  {i} [label="{_label(i, w)}"];')
+    for i, label in enumerate(labels):
+        lines.append(f'  {i} [label="{i}:{label.tobytes().decode()}"];')
     for i, j in graph.edges:
         lines.append(f"  {i} -- {j};")
     lines.append("}")
@@ -92,12 +91,8 @@ def to_dot(graph: CodeGraph) -> str:
 
 def vertex_sidecar_json(graph: CodeGraph) -> str:
     """Full RREF bases for the compact DOT labels, as JSON."""
-    payload = {
-        "p": graph.vertices[0].p,
-        "n": graph.vertices[0].n,
-        "k": graph.vertices[0].dim,
-        "vertices": [w.to_lists() for w in graph.vertices],
-    }
+    _, k, n = graph.vertices.shape
+    payload = {"p": graph.p, "n": n, "k": k, "vertices": graph.vertices.tolist()}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -2,8 +2,8 @@
 anticode-optimal constant-dimension codes built from lifted matrix codes.
 
 Every subspace is held as its unique reduced-row-echelon basis, so subspace
-equality is plain matrix equality.  A code's words are canonicalized,
-checked or dualized by one :func:`batch_rref` call over all of them.
+equality is plain matrix equality.  A code holds its words as one (M, k, n)
+array of RREF bases, checked by one :func:`batch_rref` call over all of them.
 Minimum distances are never taken on faith: every construction here
 recomputes them by a full pairwise scan and refuses to return an object
 whose parameters disagree with the scan.  The
@@ -20,7 +20,8 @@ import itertools
 import numpy as np
 
 from .gf import require_construction_prime
-from .matfp import MatrixFp, batch_lift, batch_rank, batch_rref, check_modulus, rref_null_space
+from .matfp import (MatrixFp, batch_lift, batch_rank, batch_rref, check_modulus,
+                    has_duplicates, int_array, rref_null_space)
 from .codes import PAIR_GUARD, RankMetricCode, build_image_code
 
 ENUMERATION_GUARD = 1 << 20
@@ -50,15 +51,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.nrows
-
-    def vectors(self) -> set[tuple[int, ...]]:
-        """All p^dim vectors of the subspace (desk-scale only)."""
-        out = set()
-        b = self.basis.array
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            v = (np.asarray(coeffs, dtype=np.int64) @ b) % self.p if self.dim else np.zeros(self.n, dtype=np.int64)
-            out.add(tuple(int(x) for x in v))
-        return out
 
     def to_lists(self) -> list[list[int]]:
         return self.basis.to_lists()
@@ -116,16 +108,15 @@ def injection_distance(a: Subspace, b: Subspace) -> int:
     return max(a.dim, b.dim) - intersection_dim(a, b)
 
 
-def dual_subspaces(words) -> list[Subspace]:
-    """Orthogonal complements of equal-dimension subspaces of one ambient
-    space: kernels built from the RREF bases, canonicalized in one call."""
-    p = words[0].p
-    return _spans(rref_null_space(np.stack([w.basis.array for w in words]), p), p)
+def dual_bases(bases: np.ndarray, p: int) -> np.ndarray:
+    """RREF bases of the orthogonal complements of a (B, k, n) stack of RREF
+    bases: kernels read off the bases, canonicalized by one elimination."""
+    return batch_rref(rref_null_space(bases, p), p)[0]
 
 
 def dual_subspace(a: Subspace) -> Subspace:
     """Orthogonal complement under the standard inner product."""
-    return dual_subspaces([a])[0]
+    return _spans(rref_null_space(a.basis.array[None], a.p), a.p)[0]
 
 
 def gaussian_coefficient(n: int, k: int, q: int) -> int:
@@ -202,30 +193,25 @@ def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> 
 class GrassmannianCode:
     """A constant-dimension code: distinct k-dimensional subspaces of GF(p)^n.
 
-    ``d`` caches the minimum subspace distance when it has been computed;
-    codes loaded from files carry d=None until a scan recomputes it.
-    ``provenance`` is a free-form descriptor of how the code was built,
-    including the parameters it claims.
+    ``words`` is one read-only (M, k, n) int64 array, each word its RREF
+    basis with no zero row; the constructor refuses any other stack and
+    duplicate words.  ``d`` caches the minimum subspace distance when it has
+    been computed; codes loaded from files carry d=None until a scan
+    recomputes it.  ``provenance`` is a free-form descriptor of how the code
+    was built, including the parameters it claims.
     """
 
-    def __init__(self, words, provenance: dict | None = None):
-        words = tuple(words)
-        if not words:
+    def __init__(self, words, p: int, provenance: dict | None = None):
+        check_modulus(p)
+        if not len(words):
             raise ValueError("a code needs at least one word")
-        n, k, p = words[0].n, words[0].dim, words[0].p
-        for w in words:
-            if not isinstance(w, Subspace):
-                raise TypeError("words must be Subspace instances")
-            if w.n != n or w.p != p:
-                raise ValueError("all words must share one ambient space")
-            if w.dim != k:
-                raise ValueError("constant-dimension codes only: mixed dimensions")
-        if len(set(words)) != len(words):
+        words = int_array(words, 3) % p
+        _require_rref(words, p)
+        if has_duplicates(words):
             raise ValueError("duplicate words")
-        self.words = words
-        self.n = n
-        self.k = k
-        self.p = p
+        words.setflags(write=False)
+        self.words, self.p = words, int(p)
+        _, self.k, self.n = words.shape
         self.d = None
         self.provenance = dict(provenance or {})
         self._inters = None
@@ -238,12 +224,9 @@ class GrassmannianCode:
         """Intersection dimensions of all word pairs (triu order), scanned
         once by :func:`pairwise_intersection_dims`; every check reads them."""
         if self._inters is None:
-            self._inters = pairwise_intersection_dims(self.words, pair_guard)
+            self._inters = pairwise_intersection_dims(self.words, self.p, pair_guard)
             self._inters.setflags(write=False)
         return self._inters
-
-    def word_set(self) -> frozenset[Subspace]:
-        return frozenset(self.words)
 
     def summary(self) -> str:
         d = self.d if self.d is not None else "?"
@@ -255,29 +238,25 @@ class GrassmannianCode:
             "n": self.n,
             "k": self.k,
             "provenance": self.provenance,
-            "words": [w.to_lists() for w in self.words],
+            "words": self.words.tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrassmannianCode":
-        p, n, k = data["p"], data["n"], data["k"]
-        check_modulus(p)
-        bases = [np.asarray(b, dtype=np.int64) % p for b in data["words"]]
-        if any(b.shape != (k, n) for b in bases):
-            raise ValueError("word does not match the declared (n, k)")
-        stack = np.array(bases, dtype=np.int64).reshape(len(bases), k, n)
-        _require_rref(stack, p)
-        words = [Subspace._from_rref(MatrixFp(b, p)) for b in stack]
-        return cls(words, provenance=data.get("provenance"))
+        code = cls(data["words"], data["p"], provenance=data.get("provenance"))
+        if (code.n, code.k) != (data["n"], data["k"]):
+            raise ValueError("words do not match the declared (n, k)")
+        return code
 
     def __repr__(self):
         return f"GrassmannianCode({self.summary()})"
 
 
-def pairwise_intersection_dims(words, pair_guard: int = PAIR_GUARD) -> np.ndarray:
-    """Intersection dimensions over all unordered word pairs (flat array in
-    triu order, smallest unsigned dtype holding k).  Equal-dimension words
-    with 0 < k < n only.
+def pairwise_intersection_dims(bases: np.ndarray, p: int,
+                               pair_guard: int = PAIR_GUARD) -> np.ndarray:
+    """Intersection dimensions over all unordered pairs of a (M, k, n) stack
+    of RREF bases (flat array in triu order, smallest unsigned dtype holding
+    k).  0 < k < n only.
 
     One-vs-all: every later word B_j is reduced against word i's RREF basis
     A_i at once, R_j = B_j[:, F] - sum_t B_j[:, piv_t] (x) A_i[t, F] over the
@@ -285,16 +264,12 @@ def pairwise_intersection_dims(words, pair_guard: int = PAIR_GUARD) -> np.ndarra
     rank is still computed; R_j goes to :func:`batch_rank` with
     min(k, n - k) rows (transposed when k > n - k).
     """
-    m = len(words)
+    m, k, n = bases.shape
     npairs = m * (m - 1) // 2
     if npairs > pair_guard:
         raise ValueError(
             f"{npairs} pairs exceed the guard ({pair_guard}); raise it to force the scan"
         )
-    k = words[0].dim
-    p = words[0].p
-    n = words[0].n
-    bases = np.stack([w.basis.array for w in words])
     pivots = (bases != 0).argmax(axis=2)
     free = np.ones((m, n), dtype=bool)
     np.put_along_axis(free, pivots, False, axis=1)
@@ -329,7 +304,8 @@ def min_subspace_distance(code: GrassmannianCode,
 
 def code_params(code: GrassmannianCode,
                 pair_guard: int = PAIR_GUARD) -> tuple[int, int, int, int]:
-    """(n, M, d, k) with M recounted and d read from the code's pair scan.
+    """(n, M, d, k) with d read from the code's pair scan; the constructor
+    has already checked that the M words are distinct.
 
     Raises if a cached minimum distance disagrees with the scan.
     """
@@ -337,7 +313,7 @@ def code_params(code: GrassmannianCode,
     d = min_subspace_distance(code, pair_guard)
     if cached is not None and cached != d:
         raise ValueError(f"cached minimum distance {cached} != recomputed {d}")
-    return (code.n, len(set(code.words)), d, code.k)
+    return (code.n, code.M, d, code.k)
 
 
 def lift_code(code: RankMetricCode, pair_guard: int = PAIR_GUARD) -> GrassmannianCode:
@@ -351,7 +327,6 @@ def lift_code(code: RankMetricCode, pair_guard: int = PAIR_GUARD) -> Grassmannia
         raise ValueError("lifting is defined here for linear rank-metric codes")
     delta = code.delta if len(code.words) > 1 else None
     n = code.nrows + code.ncols
-    words = _spans(batch_lift(code.stacked(), n), code.p)
     claimed = {
         "n": n,
         "M": code.p**code.rho,
@@ -359,7 +334,7 @@ def lift_code(code: RankMetricCode, pair_guard: int = PAIR_GUARD) -> Grassmannia
         "k": code.nrows,
     }
     lifted = GrassmannianCode(
-        words,
+        batch_lift(code.words, n), code.p,
         provenance={"construction": "lifted_rank_metric_code", "claimed": claimed},
     )
     if lifted.M != claimed["M"]:
@@ -397,11 +372,10 @@ def anticode_optimal_code(p: int, r: int, variant: str = "O",
             f"M={m_claim} means {npairs} verification pairs, over the guard "
             f"({pair_guard}); raise the guard to force the construction"
         )
-    images = [build_image_code(p, i, variant).stacked() for i in range(1, r + 1)]
+    images = [build_image_code(p, i, variant).words for i in range(1, r + 1)]
     images.append(np.zeros((1, 2, 0), dtype=np.int64))  # lifts to (0 | I_2)
-    words = _spans(np.concatenate([batch_lift(a, n) for a in images]), p)
     code = GrassmannianCode(
-        words,
+        np.concatenate([batch_lift(a, n) for a in images]), p,
         provenance={
             "construction": "anticode_optimal_union",
             "p": p,
@@ -424,7 +398,6 @@ def dual_code(code: GrassmannianCode, pair_guard: int = PAIR_GUARD) -> Grassmann
     Size is preserved and dimension becomes n - k; the minimum distance is
     verified to match the original whenever the original carries one.
     """
-    words = dual_subspaces(code.words)
     claimed = {
         "n": code.n,
         "M": code.M,
@@ -432,7 +405,7 @@ def dual_code(code: GrassmannianCode, pair_guard: int = PAIR_GUARD) -> Grassmann
         "k": code.n - code.k,
     }
     out = GrassmannianCode(
-        words,
+        dual_bases(code.words, code.p), code.p,
         provenance={
             "construction": "dual",
             "of": code.provenance.get("construction"),
@@ -453,12 +426,13 @@ def compare_variant_codes(p: int, r: int,
     """Set relationship between the two variant constructions at (p, r).
 
     Reports only; neither equality nor difference is asserted anywhere.
+    Words are listed as their RREF bases.
     """
     code_o = anticode_optimal_code(p, r, "O", pair_guard)
     code_e = anticode_optimal_code(p, r, "E", pair_guard)
-    set_o, set_e = code_o.word_set(), code_e.word_set()
+    set_o, set_e = ({str(w) for w in code.words.tolist()} for code in (code_o, code_e))
     return {
         "identical": set_o == set_e,
-        "only_O": sorted(repr(w) for w in set_o - set_e),
-        "only_E": sorted(repr(w) for w in set_e - set_o),
+        "only_O": sorted(set_o - set_e),
+        "only_E": sorted(set_e - set_o),
     }

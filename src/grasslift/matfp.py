@@ -1,7 +1,9 @@
 """Dense matrices over GF(p): reduced row echelon form, rank, kernels, lifting.
 
 One int64 entry per cell (no bit packing); everything here is exact, and
-moduli above MAX_MODULUS are refused so that products of residues fit.  All
+moduli above MAX_MODULUS are refused so that products of residues fit.
+Entries from outside come in through one parse, :func:`int_array`, which
+refuses anything numpy would truncate, wrap or hold as objects.  All
 elimination is one batched Gauss-Jordan kernel, :func:`batch_rref`, run on
 whole stacks of small matrices; a single matrix is a stack of one.
 :func:`batch_rank` ranks two-row stacks by reducing the bottom row against
@@ -24,12 +26,43 @@ RREF_CHUNK = 256
 
 
 def check_modulus(p: int) -> None:
-    """Raise ValueError unless p is a prime no larger than MAX_MODULUS."""
+    """Raise ValueError unless p is an integer prime no larger than MAX_MODULUS."""
+    if not isinstance(p, (int, np.integer)):
+        raise ValueError(f"modulus must be an integer, got {p!r}")
     # The ceiling comes first: it refuses every p the int64 kernels cannot hold.
     if p > MAX_MODULUS:
         raise ValueError(f"modulus {p} exceeds the int64 ceiling {MAX_MODULUS}")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+
+
+def int_array(entries, ndim: int) -> np.ndarray:
+    """``entries`` as an int64 array with ``ndim`` axes.  Raises ValueError on
+    ragged input and on entries that are not integers inside int64 (floats,
+    strings, booleans, None, huge ints), which numpy would otherwise
+    truncate, wrap or hold as objects."""
+    try:
+        arr = np.asarray(entries)
+    except ValueError:
+        raise ValueError("ragged entries: every word and row must share one shape") from None
+    if arr.ndim != ndim:
+        raise ValueError(f"expected {ndim}-D entries, got shape {arr.shape}")
+    if arr.size and (arr.dtype.kind not in "iu" or arr.dtype == np.uint64
+                     and arr.max() > np.iinfo(np.int64).max):
+        raise ValueError(f"entries must be integers inside int64, got {arr.dtype} entries")
+    return arr.astype(np.int64, copy=False)
+
+
+def has_duplicates(stack: np.ndarray) -> bool:
+    """True iff two matrices of a (B, R, C) stack are equal: one sort of
+    their raw bytes."""
+    if len(stack) < 2:
+        return False
+    rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    if not rows.shape[1]:
+        return True  # two empty matrices are equal
+    keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 class MatrixFp:
@@ -43,10 +76,7 @@ class MatrixFp:
 
     def __init__(self, entries, p: int):
         check_modulus(p)
-        arr = np.asarray(entries, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix entries must be 2-D, got shape {arr.shape}")
-        arr = arr % p
+        arr = int_array(entries, 2) % p
         arr.setflags(write=False)
         self.p = p
         self.array = arr

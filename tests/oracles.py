@@ -4,7 +4,10 @@ They use Python ints only and share no code with the library's kernels, so
 the batched paths can be checked against them for any modulus.
 """
 
+import itertools
 import math
+
+import numpy as np
 
 
 def reference_rref(rows, p):
@@ -69,3 +72,14 @@ def reference_pair_min_rank(mats, p):
          for i, a in enumerate(mats) for b in mats[i + 1:]),
         default=None,
     )
+
+
+def reference_points(basis, p):
+    """The p^k points of the row space of a k x n basis over GF(p), as a set
+    of tuples of Python ints (desk-scale only)."""
+    k, n = np.shape(basis)
+    rows = [[int(x) for x in row] for row in basis]
+    return {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(n))
+        for coeffs in itertools.product(range(p), repeat=k)
+    }

@@ -4,7 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from grasslift import cli, grassmann
+from grasslift import cli, codes, grassmann
 from grasslift.cli import main
 from grasslift.codes import build_image_code, weight_table_csv
 from grasslift.matfp import MatrixFp
@@ -250,6 +250,49 @@ def test_verify_refuses_moduli_above_the_int64_ceiling(runner, tmp_path, payload
     assert "exceeds" in result.output
 
 
+def _matrix_file(words, p=2):
+    return {"p": p, "k": 1, "l": 1, "linear": True, "words": words}
+
+
+def _subspace_file(words, p=2):
+    return {"p": p, "n": 4, "k": 2, "provenance": {}, "words": words}
+
+
+E12 = [[1, 0, 0, 0], [0, 1, 0, 0]]
+
+MALFORMED_FILES = {
+    # numpy would truncate 1.9 to 1 and accept the linear code {0, 1}
+    "matrix-float-entry": _matrix_file([[[0]], [[1.9]]]),
+    "matrix-huge-entry": _matrix_file([[[0]], [[10**30]]]),
+    "matrix-float-modulus": _matrix_file([[[0]], [[1]], [[2]]], p=3.0),
+    "matrix-ragged-words": _matrix_file([[[0]], [[1, 0]]]),
+    "matrix-string-entry": _matrix_file([[[0]], [["1"]]]),
+    "matrix-boolean-entry": _matrix_file([[[False]], [[True]]]),
+    "matrix-no-words": _matrix_file([]),
+    "subspace-float-entry": _subspace_file([[[1, 0, 0, 0], [0, 1, 0, 0.5]]]),
+    "subspace-huge-entry": _subspace_file([[[1, 0, 0, 0], [0, 1, 0, 10**30]]]),
+    "subspace-float-modulus": _subspace_file([E12], p=3.0),
+    "subspace-ragged-words": _subspace_file([E12, [[1, 0, 0], [0, 1, 0]]]),
+    "subspace-string-entry": _subspace_file([[[1, 0, 0, "0"], [0, 1, 0, 0]]]),
+    "subspace-no-words": _subspace_file([]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_code_files_exit_2_without_traceback(runner, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_FILES[name]))
+    commands = [["verify", str(path)]]
+    if name.startswith("subspace"):
+        commands.append(["params", str(path)])
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args[0], result.output)
+        assert isinstance(result.exception, SystemExit), (args[0], result.exception)
+        assert "malformed code file" in result.output
+        assert "Traceback" not in result.output
+
+
 # ---------------------------------------------------------------------------
 # graph
 # ---------------------------------------------------------------------------
@@ -325,6 +368,22 @@ def test_matrix_verify_computes_distance_once(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["verify", str(image_code_file(tmp_path, 3, 1))])
     assert result.exit_code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("guard_args", [[], ["--guard", "10"]], ids=["exhaustive", "sampled"])
+def test_matrix_verify_ranks_the_words_once(runner, tmp_path, monkeypatch, guard_args):
+    stacks = []
+    original = codes.batch_rank
+
+    def counted(mats, p):
+        stacks.append(len(mats))
+        return original(mats, p)
+
+    monkeypatch.setattr(codes, "batch_rank", counted)
+    result = runner.invoke(main, ["verify", str(image_code_file(tmp_path, 3, 2)), *guard_args])
+    assert result.exit_code == 0
+    assert "check distance = min nonzero rank: claimed=2 computed=2 PASS" in result.output
+    assert stacks.count(81) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_image_code_p2_exact_words():
         MatrixFp([[1, 0], [1, 1]], 2),
         MatrixFp([[1, 1], [0, 1]], 2),
     }
-    assert code.word_set == frozenset(expected)
+    assert {MatrixFp(w, 2) for w in code.words} == expected
     assert code.rho == 2 and code.shape == (2, 2)
 
 
@@ -225,21 +225,21 @@ def test_image_code_p2_even_variant_exact_words():
         MatrixFp([[0, 1], [1, 1]], 2),
         MatrixFp([[1, 1], [1, 0]], 2),
     }
-    assert code.word_set == frozenset(expected)
+    assert {MatrixFp(w, 2) for w in code.words} == expected
 
 
 def test_image_code_p3_matches_reference_images():
     code = build_image_code(3, 1, "O")
     expected = {MatrixFp(m, 3) for m, _ in REFERENCE_IMAGES_P3.values()}
-    assert code.word_set == frozenset(expected)
+    assert {MatrixFp(w, 3) for w in code.words} == expected
 
 
 def test_image_code_p2_r2_all_nonzero_words_rank_2():
     code = build_image_code(2, 2, "O")
     assert len(code) == 16
     for w in code.words:
-        expected = 0 if w.is_zero() else 2
-        assert minor_rank(w, 2) == expected
+        expected = 0 if not w.any() else 2
+        assert minor_rank(MatrixFp(w, 2), 2) == expected
 
 
 @pytest.mark.parametrize("variant", ["O", "E"])
@@ -251,7 +251,7 @@ def test_vectorized_image_map_matches_built_code_in_order(p, r, variant):
     words = [MatrixFp(m, p) for m in _image_batch(np.arange(p ** (2 * r)), p, r, variant)]
     expected = [variant_image(v, variant) for v in enumerate_ext_vectors(p, r)]
     assert words == expected
-    assert words == list(build_image_code(p, r, variant).words)
+    assert words == [MatrixFp(w, p) for w in build_image_code(p, r, variant).words]
 
 
 def test_image_code_rejects_non_construction_primes():
@@ -279,13 +279,10 @@ def test_image_code_bad_args():
 def test_min_rank_distance_examples():
     assert min_rank_distance(build_image_code(2, 1, "O")) == 2
     assert min_rank_distance(build_image_code(3, 1, "O")) == 2
-    small = RankMetricCode(
-        [MatrixFp.zeros(2, 2, 2), MatrixFp([[1, 0], [0, 0]], 2)],
-        linear=True,
-    )
+    small = RankMetricCode([[[0, 0], [0, 0]], [[1, 0], [0, 0]]], 2, linear=True)
     assert min_rank_distance(small) == 1
     with pytest.raises(ValueError, match="two words"):
-        min_rank_distance(RankMetricCode([MatrixFp.zeros(2, 2, 2)]))
+        min_rank_distance(RankMetricCode([[[0, 0], [0, 0]]], 2))
 
 
 def test_min_rank_distance_equals_min_nonzero_rank_for_linear_codes():
@@ -305,7 +302,7 @@ def test_min_rank_distance_sampled_path_matches_exhaustive():
 def test_sampled_distance_ranks_words_once_and_pins_the_zero_word(monkeypatch):
     words = list(build_image_code(3, 2, "E").words)
     words.append(words.pop(0))  # the zero word last
-    code = RankMetricCode(words, linear=True)
+    code = RankMetricCode(words, 3, linear=True)
     stacks = []
     original = codes.batch_rank
 
@@ -320,8 +317,8 @@ def test_sampled_distance_ranks_words_once_and_pins_the_zero_word(monkeypatch):
 
 
 def test_min_rank_distance_guard_for_non_linear():
-    words = [MatrixFp([[i, 0], [0, 0]], 7) for i in range(5)]
-    code = RankMetricCode(words)
+    words = [[[i, 0], [0, 0]] for i in range(5)]
+    code = RankMetricCode(words, 7)
     with pytest.raises(ValueError, match="guard"):
         min_rank_distance(code, pair_guard=2)
 
@@ -338,13 +335,10 @@ def test_singleton_max_dim():
 def test_is_mrd():
     assert is_mrd(build_image_code(2, 1, "O"))
     assert is_mrd(build_image_code(3, 1, "O"))
-    small = RankMetricCode(
-        [MatrixFp.zeros(2, 2, 2), MatrixFp([[1, 0], [0, 0]], 2)],
-        linear=True,
-    )
+    small = RankMetricCode([[[0, 0], [0, 0]], [[1, 0], [0, 0]]], 2, linear=True)
     assert not is_mrd(small)
     with pytest.raises(ValueError, match="linear"):
-        is_mrd(RankMetricCode([MatrixFp.zeros(2, 2, 2), MatrixFp.identity(2, 2)]))
+        is_mrd(RankMetricCode([[[0, 0], [0, 0]], [[1, 0], [0, 1]]], 2))
 
 
 def test_nonzero_image_ranks_for_construction_primes_up_to_50():
@@ -370,7 +364,7 @@ def test_p5_raw_image_contains_rank_one_word():
     target = MatrixFp([[1, 2], [3, 1]], 5)
     assert target in set(raw)
     assert target.rank() == 1
-    code = RankMetricCode(raw, linear=True)
+    code = RankMetricCode([m.array for m in raw], 5, linear=True)
     assert min_rank_distance(code) == 1 == min_nonzero_rank(code)
 
 
@@ -450,16 +444,16 @@ def test_weight_table_csv_shape():
 # ---------------------------------------------------------------------------
 
 def test_rank_metric_code_validation():
-    zero = MatrixFp.zeros(2, 2, 2)
-    eye = MatrixFp.identity(2, 2)
+    zero = [[0, 0], [0, 0]]
+    eye = [[1, 0], [0, 1]]
     with pytest.raises(ValueError, match="duplicate"):
-        RankMetricCode([zero, zero])
+        RankMetricCode([zero, zero], 2)
     with pytest.raises(ValueError, match="zero matrix"):
-        RankMetricCode([eye], linear=True)
+        RankMetricCode([eye], 2, linear=True)
     with pytest.raises(ValueError, match="power of p"):
-        RankMetricCode([zero, eye, MatrixFp([[1, 1], [0, 1]], 2)], linear=True)
-    with pytest.raises(ValueError, match="shape and modulus"):
-        RankMetricCode([zero, MatrixFp.zeros(2, 4, 2)])
+        RankMetricCode([zero, eye, [[1, 1], [0, 1]]], 2, linear=True)
+    with pytest.raises(ValueError, match="share one shape"):
+        RankMetricCode([zero, [[0, 0, 0, 0], [0, 0, 0, 0]]], 2)
 
 
 def test_rank_metric_code_round_trip():
@@ -467,7 +461,7 @@ def test_rank_metric_code_round_trip():
     data = code.to_dict()
     assert data["p"] == 3 and data["k"] == 2 and data["l"] == 2 and data["linear"]
     again = RankMetricCode.from_dict(data)
-    assert again.word_set == code.word_set
+    assert np.array_equal(again.words, code.words)
     assert again.rho == code.rho
 
 
@@ -476,7 +470,7 @@ def test_scan_counts_agree_with_materialized_ranks():
         code = build_image_code(p, r, variant)
         counted = {0: 0, 1: 0, 2: 0}
         for w in code.words:
-            counted[w.rank()] += 1
+            counted[MatrixFp(w, p).rank()] += 1
         assert image_rank_counts(p, r, variant) == counted
 
 
@@ -535,7 +529,7 @@ def test_pair_scan_matches_double_loop(p, ncols, entries, chunk):
     np.testing.assert_array_equal(np.concatenate(stacks), expected)
     words = arr.tolist()
     assert _min_rank(_all_pair_diffs(arr, chunk), p) == reference_pair_min_rank(words, p)
-    code = RankMetricCode([MatrixFp(w, p) for w in words])
+    code = RankMetricCode(words, p)
     assert min_rank_distance(code) == reference_pair_min_rank(words, p)
 
 
@@ -546,7 +540,7 @@ def test_pair_scan_non_linear_codes_of_distance_one_and_two(chunk):
     one = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 1], [1, 0]]]
     # Distance 2: the eight nonzero words of the (3, 1) O image (no zero word,
     # so not linear); their first row of 7 pairs crosses the chunks above.
-    two = [w.to_lists() for w in build_image_code(3, 1, "O").words if not w.is_zero()]
+    two = [w.tolist() for w in build_image_code(3, 1, "O").words if w.any()]
     for words, p, d in ((one, 3, 1), (two, 3, 2)):
         assert reference_pair_min_rank(words, p) == d
         arr = np.array(words, dtype=np.int64)

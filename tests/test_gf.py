@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from grasslift.gf import (
     ExtFieldElement,
-    FieldElement,
     MR_EXACT_BELOW,
     ext_elements,
     ext_one,
@@ -74,30 +73,6 @@ def test_require_construction_prime_message():
     with pytest.raises(ValueError, match=r"p % 5 in \{2, 3\}"):
         require_construction_prime(5)
     require_construction_prime(13)
-
-
-# ---------------------------------------------------------------------------
-# base field elements
-# ---------------------------------------------------------------------------
-
-def test_field_element_basics():
-    x = FieldElement(7, 5)
-    assert x.value == 2
-    assert (x + 4).value == 1
-    assert (x * 3).value == 1
-    assert (-x).value == 3
-    assert (x - 3).value == 4
-    assert x.inverse().value == 3
-    assert (x / x).value == 1
-
-
-def test_field_element_errors():
-    with pytest.raises(ValueError, match="not prime"):
-        FieldElement(1, 6)
-    with pytest.raises(ValueError, match="modulus mismatch"):
-        FieldElement(1, 3) + FieldElement(1, 5)
-    with pytest.raises(ValueError, match="no multiplicative inverse"):
-        FieldElement(0, 3).inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from grasslift.graph import (
 def two_word_intersecting_code():
     a = span(MatrixFp([[1, 0, 0, 0], [0, 1, 0, 0]], 2))
     b = span(MatrixFp([[1, 0, 0, 0], [0, 0, 1, 0]], 2))
-    return GrassmannianCode([a, b])
+    return GrassmannianCode([a.basis.array, b.basis.array], 2)
 
 
 def test_graph_counts_p2_r1():
@@ -56,39 +56,39 @@ def test_intersecting_words_have_no_edge():
 def test_distance_four_planes_always_complete():
     # any subset of an optimal code keeps distance 4, so its graph is complete
     code = anticode_optimal_code(2, 2, "O")
-    sub = GrassmannianCode(code.words[3:9])
+    sub = GrassmannianCode(code.words[3:9], code.p)
     assert is_complete(intersection_graph(sub))
 
 
 def test_single_vertex_graph_is_complete():
     code = anticode_optimal_code(2, 1, "O")
-    g = CodeGraph(code.words[:1], [])
+    g = CodeGraph(code.words[:1], code.p, [])
     assert is_complete(g)
     assert degree_sequence(g) == [0]
 
 
 def test_missing_edge_not_complete():
     g = intersection_graph(anticode_optimal_code(2, 1, "O"))
-    smaller = CodeGraph(g.vertices, sorted(g.edges)[:-1])
+    smaller = CodeGraph(g.vertices, g.p, sorted(g.edges)[:-1])
     assert not is_complete(smaller)
 
 
 def test_edgeless_graph_degrees():
     code = anticode_optimal_code(2, 1, "O")
-    g = CodeGraph(code.words[:3], [])
+    g = CodeGraph(code.words[:3], code.p, [])
     assert degree_sequence(g) == [0, 0, 0]
 
 
 def test_code_graph_validation():
     code = anticode_optimal_code(2, 1, "O")
     with pytest.raises(ValueError, match="loops"):
-        CodeGraph(code.words, [(1, 1)])
+        CodeGraph(code.words, code.p, [(1, 1)])
     with pytest.raises(ValueError, match="out of range"):
-        CodeGraph(code.words, [(0, 9)])
+        CodeGraph(code.words, code.p, [(0, 9)])
     # duplicate and reversed edges collapse to one; edges come out sorted
-    g = CodeGraph(code.words, [(0, 1), (1, 0), (0, 1)])
+    g = CodeGraph(code.words, code.p, [(0, 1), (1, 0), (0, 1)])
     assert g.n_edges == 1
-    g = CodeGraph(code.words, [(3, 1), (4, 0), (1, 0), (2, 4)])
+    g = CodeGraph(code.words, code.p, [(3, 1), (4, 0), (1, 0), (2, 4)])
     assert g.edges == [(0, 1), (0, 4), (1, 3), (2, 4)]
     assert degree_sequence(g) == [2, 2, 1, 1, 2]
 
@@ -115,7 +115,7 @@ def test_sidecar_json_round_trip():
     g = intersection_graph(anticode_optimal_code(2, 1, "O"))
     payload = json.loads(vertex_sidecar_json(g))
     assert payload["p"] == 2 and payload["n"] == 4 and payload["k"] == 2
-    assert payload["vertices"] == [w.to_lists() for w in g.vertices]
+    assert payload["vertices"] == g.vertices.tolist()
 
 
 def test_adjacency_matrix_and_csv():
@@ -131,14 +131,14 @@ def test_adjacency_matrix_and_csv():
     assert rows[0] == "0,1,1,1,1"
     g0 = intersection_graph(two_word_intersecting_code())
     assert adjacency_csv(g0) == "0,0\n0,0\n"
-    g1 = CodeGraph(g.vertices[:3], [(2, 0)])
+    g1 = CodeGraph(g.vertices[:3], g.p, [(2, 0)])
     assert adjacency_csv(g1) == "0,0,1\n0,0,0\n1,0,0\n"
 
 
 def test_vertices_keep_code_order():
     code = anticode_optimal_code(2, 1, "O")
     g = intersection_graph(code)
-    assert g.vertices == code.words
+    assert np.array_equal(g.vertices, code.words)
     assert np.array_equal(
         adjacency_matrix(g), adjacency_matrix(intersection_graph(code))
     )

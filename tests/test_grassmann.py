@@ -27,7 +27,7 @@ from grasslift.grassmann import (
     subspace_distance,
 )
 
-from oracles import reference_rank
+from oracles import reference_points, reference_rank
 
 # Reference words of the optimal (4, 5, 4, 2) code over GF(2), as the full
 # vector sets of the five planes.
@@ -86,7 +86,7 @@ def test_span_examples():
     s = span(MatrixFp([[1, 1], [1, 1]], 2))
     assert s.dim == 1 and s.to_lists() == [[1, 1]]
     z = span(MatrixFp.zeros(2, 3, 2))
-    assert z.dim == 0 and z.vectors() == {(0, 0, 0)}
+    assert z.dim == 0 and reference_points(z.basis.array, 2) == {(0, 0, 0)}
 
 
 def test_subspace_requires_canonical_basis():
@@ -138,7 +138,7 @@ def test_equal_spans_iff_equal_bases():
     subs = enumerate_grassmannian(4, 2, 2)
     for a, b in itertools.combinations(subs, 2):
         assert a.basis != b.basis
-        assert a.vectors() != b.vectors()
+        assert reference_points(a.basis.array, 2) != reference_points(b.basis.array, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,8 @@ def test_ambient_mismatch():
 
 def test_optimal_code_pairwise_distances():
     code = anticode_optimal_code(2, 1, "O")
-    for a, b in itertools.combinations(code.words, 2):
+    words = [Subspace(MatrixFp(w, code.p)) for w in code.words]
+    for a, b in itertools.combinations(words, 2):
         assert intersection_dim(a, b) == 0
         assert subspace_distance(a, b) == 4
         assert injection_distance(a, b) == max(a.dim, b.dim) - intersection_dim(a, b) == 2
@@ -228,7 +229,7 @@ def test_enumerate_grassmannian_counts():
 
 def test_enumerate_grassmannian_matches_span_oracle_vector_sets():
     expected = brute_force_subspace_sets(4, 2, 2)
-    got = {frozenset(s.vectors()) for s in enumerate_grassmannian(4, 2, 2)}
+    got = {frozenset(reference_points(s.basis.array, 2)) for s in enumerate_grassmannian(4, 2, 2)}
     assert got == expected
 
 
@@ -291,7 +292,7 @@ def test_anticode_bound_rejects_non_integral_quotients():
 def test_lift_code_p2():
     lifted = lift_code(build_image_code(2, 1, "O"))
     assert code_params(lifted) == (4, 4, 4, 2)
-    got = {frozenset(w.vectors()) for w in lifted.words}
+    got = {frozenset(reference_points(w, 2)) for w in lifted.words}
     assert got == {frozenset(s) for s in REFERENCE_PLANES_P2_R1[:4]}
 
 
@@ -301,14 +302,14 @@ def test_lift_code_p3():
 
 
 def test_lift_code_single_zero_word():
-    code = RankMetricCode([MatrixFp.zeros(2, 2, 2)], linear=True)
+    code = RankMetricCode(np.zeros((1, 2, 2), dtype=np.int64), 2, linear=True)
     lifted = lift_code(code)
     assert lifted.M == 1
-    assert lifted.words[0].to_lists() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert lifted.words[0].tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
 
 def test_lift_code_requires_linear():
-    code = RankMetricCode([MatrixFp.zeros(2, 2, 2), MatrixFp.identity(2, 2)])
+    code = RankMetricCode([np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)], 2)
     with pytest.raises(ValueError, match="linear"):
         lift_code(code)
 
@@ -320,7 +321,7 @@ def test_lift_code_requires_linear():
 def test_optimal_code_p2_r1_exact_planes():
     code = anticode_optimal_code(2, 1, "O")
     assert code_params(code) == (4, 5, 4, 2)
-    got = {frozenset(w.vectors()) for w in code.words}
+    got = {frozenset(reference_points(w, 2)) for w in code.words}
     assert got == {frozenset(s) for s in REFERENCE_PLANES_P2_R1}
     assert code.M == anticode_bound(4, 4, 2, 2, "subspace")
 
@@ -328,7 +329,7 @@ def test_optimal_code_p2_r1_exact_planes():
 def test_optimal_code_p2_r1_even_variant_exact_planes():
     code = anticode_optimal_code(2, 1, "E")
     assert code_params(code) == (4, 5, 4, 2)
-    got = {frozenset(w.vectors()) for w in code.words}
+    got = {frozenset(reference_points(w, 2)) for w in code.words}
     expected = [
         {(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)},
         {(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)},
@@ -374,7 +375,7 @@ def test_variant_comparison_reports_without_asserting():
     assert len(report["only_O"]) == 3 and len(report["only_E"]) == 3
     code_o = anticode_optimal_code(2, 1, "O")
     code_e = anticode_optimal_code(2, 1, "E")
-    shared = code_o.word_set() & code_e.word_set()
+    shared = {w.tobytes() for w in code_o.words} & {w.tobytes() for w in code_e.words}
     assert len(shared) == 2
     # both variants are full-parameter codes regardless of the set difference
     assert code_params(code_o) == code_params(code_e) == (4, 5, 4, 2)
@@ -408,7 +409,7 @@ def test_dual_code_params():
     dual = dual_code(code)
     assert code_params(dual) == (6, 21, 4, 4)
     double = dual_code(dual)
-    assert double.word_set() == code.word_set()
+    assert np.array_equal(double.words, code.words)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +419,13 @@ def test_dual_code_params():
 def test_code_container_validation():
     a = span(MatrixFp([[1, 0, 0, 0], [0, 1, 0, 0]], 2))
     line = span(MatrixFp([[1, 0, 0, 0]], 2))
-    with pytest.raises(ValueError, match="mixed dimensions"):
-        GrassmannianCode([a, line])
+    with pytest.raises(ValueError, match="share one shape"):
+        GrassmannianCode([a.basis.array, line.basis.array], 2)
     with pytest.raises(ValueError, match="duplicate"):
-        GrassmannianCode([a, a])
+        GrassmannianCode([a.basis.array, a.basis.array], 2)
     other = span(MatrixFp([[1, 0, 0], [0, 1, 0]], 2))
-    with pytest.raises(ValueError, match="ambient"):
-        GrassmannianCode([a, other])
+    with pytest.raises(ValueError, match="share one shape"):
+        GrassmannianCode([a.basis.array, other.basis.array], 2)
 
 
 def test_code_params_detects_stale_cache():
@@ -435,7 +436,7 @@ def test_code_params_detects_stale_cache():
 
 
 def test_code_params_needs_two_words():
-    single = GrassmannianCode([span(MatrixFp([[1, 0]], 2))])
+    single = GrassmannianCode([span(MatrixFp([[1, 0]], 2)).basis.array], 2)
     with pytest.raises(ValueError, match="two words"):
         code_params(single)
 
@@ -450,7 +451,7 @@ def test_min_subspace_distance_caches():
 def test_pairwise_guard():
     code = anticode_optimal_code(2, 2, "O")
     with pytest.raises(ValueError, match="guard"):
-        pairwise_intersection_dims(code.words, pair_guard=5)
+        pairwise_intersection_dims(code.words, code.p, pair_guard=5)
 
 
 @settings(max_examples=150, deadline=None)
@@ -476,7 +477,7 @@ def test_pairwise_intersection_dims_matches_python_int_reference(p, n, data):
         w = span(MatrixFp(rng.integers(0, p, size=(k, s)) @ shared, p))
         if w.dim == k:
             words.append(w)
-    got = pairwise_intersection_dims(words)
+    got = pairwise_intersection_dims(np.stack([w.basis.array for w in words]), p)
     assert got.dtype == np.min_scalar_type(k)
     assert got.tolist() == reference_intersection_dims(words, p)
 
@@ -487,7 +488,8 @@ def test_pairwise_intersection_histogram_over_full_grassmannian(n, k, q):
     # dimension j; summed over all M words each unordered pair counts twice.
     words = enumerate_grassmannian(n, k, q)
     m = len(words)
-    hist = np.bincount(pairwise_intersection_dims(words, pair_guard=m * m), minlength=k + 1)
+    bases = np.stack([w.basis.array for w in words])
+    hist = np.bincount(pairwise_intersection_dims(bases, q, pair_guard=m * m), minlength=k + 1)
     for j in range(k):
         meeting = q ** ((k - j) ** 2) * gaussian_coefficient(k, j, q) * (
             gaussian_coefficient(n - k, k - j, q) if k - j <= n - k else 0
@@ -500,7 +502,7 @@ def test_grassmannian_code_round_trip():
     code = anticode_optimal_code(2, 1, "O")
     data = code.to_dict()
     again = GrassmannianCode.from_dict(data)
-    assert again.word_set() == code.word_set()
+    assert np.array_equal(again.words, code.words)
     assert again.d is None
     assert code_params(again) == (4, 5, 4, 2)
     assert again.provenance == code.provenance
@@ -515,7 +517,10 @@ def test_from_dict_rejects_non_canonical_words():
     data["words"][0] = [[1, 0, 0, 0], [0, 0, 0, 0]]  # in RREF, but rank 1
     with pytest.raises(ValueError, match="canonical"):
         GrassmannianCode.from_dict(data)
-    data["words"][0] = [[1, 0, 0], [0, 1, 0]]
+    data["words"][0] = [[1, 0, 0], [0, 1, 0]]  # ragged: one word has n = 3
+    with pytest.raises(ValueError, match="share one shape"):
+        GrassmannianCode.from_dict(data)
+    data["words"] = [[[1, 0, 0], [0, 1, 0]]]  # a valid code, but n = 3
     with pytest.raises(ValueError, match=r"declared \(n, k\)"):
         GrassmannianCode.from_dict(data)
 

@@ -11,6 +11,9 @@ from grasslift.matfp import (
     batch_lift,
     batch_rank,
     batch_rref,
+    check_modulus,
+    has_duplicates,
+    int_array,
     rref_null_space,
 )
 
@@ -47,6 +50,52 @@ def test_constructor_errors():
         MatrixFp([[1]], 4)
     with pytest.raises(ValueError, match="2-D"):
         MatrixFp([1, 2, 3], 5)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[0], [1.9]], "integers"),          # numpy would truncate to 1
+    ([[1.0]], "integers"),
+    ([[0], [10**30]], "integers"),       # a Python int beyond int64
+    ([[0], [2**63]], "integers"),
+    ([[0], [-(2**63) - 1]], "integers"),
+    ([["1"]], "integers"),
+    ([[True]], "integers"),
+    ([[None]], "integers"),
+    ([[0], [0, 1]], "share one shape"),
+    ([1, 2], "2-D"),
+])
+def test_int_array_refuses_what_numpy_would_coerce(entries, message):
+    with pytest.raises(ValueError, match=message):
+        int_array(entries, 2)
+    with pytest.raises(ValueError, match=message):
+        MatrixFp(entries, 5)
+
+
+def test_int_array_keeps_integers_exactly():
+    big = 2**63 - 1
+    assert int_array([[big, -big - 1]], 2).tolist() == [[big, -big - 1]]
+    assert int_array(np.array([[7]], dtype=np.uint64), 2).dtype == np.int64
+    assert int_array([[[]]], 3).shape == (1, 1, 0)
+
+
+def test_non_integer_moduli_are_refused():
+    # is_prime(3.0) is True, so the check must look at the type first
+    for p in (3.0, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            check_modulus(p)
+    check_modulus(np.int64(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 12), st.integers(0, 3), st.integers(0, 3)),
+    p=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_has_duplicates_matches_a_set_of_rows(shape, p, seed):
+    stack = np.random.default_rng(seed).integers(0, p, size=shape)
+    rows = {tuple(m.ravel().tolist()) for m in stack}
+    assert has_duplicates(stack) == (len(rows) < len(stack))
 
 
 def test_moduli_above_the_int64_ceiling_are_refused():
