@@ -17,11 +17,20 @@ The rank scans send stacks of at most CHUNK words to matfp.batch_rank.  The
 image of (GF(p^2))^r streams as a product of per-coordinate 2 x 2 blocks: a
 table of the trailing coordinates' images behind a few leading blocks.  The
 exhaustive pair scan takes each word against all later ones.
+
+A scan of more than CHUNK stacks runs as up to WORKERS contiguous parts (of
+leading blocks, word rows or sampled pairs), one per core this process may
+use: the calling thread runs the first part and one thread runs each other,
+each with its own reused buffer; numpy releases the GIL inside batch_rank.
+Histograms add and minima take the min, so every result is exact and
+independent of the split.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from functools import partial
 
 import numpy as np
@@ -34,7 +43,10 @@ from .matfp import MatrixFp, batch_rank, check_modulus, has_duplicates, int_arra
 WORD_GUARD = 1 << 16
 PAIR_GUARD = 1 << 24
 DEFAULT_SAMPLE_PAIRS = 100_000
-CHUNK = 1 << 16
+CHUNK = 1 << 14
+# Most parts a scan is split into: the cores this process may run on.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 VARIANTS = ("O", "E")
 
@@ -269,6 +281,46 @@ def min_nonzero_rank(code: RankMetricCode) -> int:
     return int(nz.min())
 
 
+def _split(cum: np.ndarray, chunk: int) -> list[tuple[int, int]]:
+    """Contiguous nonempty ranges (start, stop) covering range(len(cum) - 1),
+    at most WORKERS of them, of about equal work, where cum[i] is the work of
+    items [0, i); one range if the work fits in ``chunk``."""
+    n, total = len(cum) - 1, int(cum[-1])
+    k = 1 if total <= chunk else min(WORKERS, n)
+    cuts = np.searchsorted(cum, total * np.arange(1, k) / k)
+    bounds = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_parts(fn, cum: np.ndarray, chunk: int) -> list:
+    """[fn(start, stop) for each part of _split(cum, chunk)]: the calling
+    thread runs the first part and one thread runs each other.  Every thread
+    is joined before this returns, and the first part's exception (in part
+    order) is raised here."""
+    parts = _split(cum, chunk)
+    results, errors = [None] * len(parts), [None] * len(parts)
+
+    def run(k):
+        try:
+            results[k] = fn(*parts[k])
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, len(parts)):
+            threads.append(threading.Thread(target=run, args=(k,)))
+            threads[-1].start()
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _min_rank(diffs, p: int) -> int | None:
     """Minimum rank over a stream of (B, R, C) stacks of residue differences;
     each lies in (-p, p) and is moved into [0, p) in place.  None if empty."""
@@ -276,19 +328,33 @@ def _min_rank(diffs, p: int) -> int | None:
                default=None)
 
 
-def _sampled_diffs(words, ii: np.ndarray, jj: np.ndarray, chunk: int = CHUNK):
-    """words(ii) - words(jj), ``chunk`` pairs at a time; words(idx) is a stack."""
-    for s in range(0, ii.size, chunk):
-        yield words(ii[s:s + chunk]) - words(jj[s:s + chunk])
+def _sampled_min_rank(words, ii: np.ndarray, jj: np.ndarray, p: int, chunk: int) -> int:
+    """Minimum rank of words(ii) - words(jj) over nonempty pair arrays, in
+    parts of slices and ``chunk`` pairs at a time; words(idx) is a stack."""
+    def part(start, stop):
+        a, b = ii[start:stop], jj[start:stop]
+        return _min_rank((words(a[s:s + chunk]) - words(b[s:s + chunk])
+                          for s in range(0, a.size, chunk)), p)
+
+    return min(_run_parts(part, np.arange(ii.size + 1), chunk))
 
 
-def _all_pair_diffs(arr: np.ndarray, chunk: int = CHUNK):
-    """arr[j] - arr[i] for every i < j, i-major, in one reused buffer of
-    ``chunk`` stacks; a row of pairs that does not fit continues in the next."""
+def _pairs_before(i, m: int):
+    """Pairs held by word rows 0, ..., i - 1 of an m-word pair scan, where
+    row i' holds the m - 1 - i' pairs (i', j) with j > i'."""
+    return i * (m - 1) - i * (i - 1) // 2
+
+
+def _all_pair_diffs(arr: np.ndarray, chunk: int, rows: tuple[int, int] | None = None):
+    """arr[j] - arr[i] for every i < j with i in ``rows`` (default: all),
+    i-major, in one reused buffer of ``chunk`` stacks; a row of pairs that
+    does not fit continues in the next."""
     m = len(arr)
-    buf = np.empty((min(chunk, m * (m - 1) // 2),) + arr.shape[1:], dtype=np.int64)
+    start, stop = rows or (0, m - 1)
+    npairs = _pairs_before(stop, m) - _pairs_before(start, m)
+    buf = np.empty((min(chunk, npairs),) + arr.shape[1:], dtype=np.int64)
     fill = 0
-    for i in range(m - 1):
+    for i in range(start, stop):
         j = i + 1
         while j < m:
             n = min(m - j, len(buf) - fill)
@@ -321,7 +387,10 @@ def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
     ranks = _word_ranks(code) if code.linear else None
     omega = int(ranks[ranks > 0].min()) if code.linear else None
     if npairs <= pair_guard:
-        d = _min_rank(_all_pair_diffs(arr), p)
+        def part(start, stop):
+            return _min_rank(_all_pair_diffs(arr, CHUNK, (start, stop)), p)
+
+        d = min(_run_parts(part, _pairs_before(np.arange(m), m), CHUNK))
         if code.linear and d != omega:
             raise RuntimeError(
                 f"pairwise minimum {d} != minimum nonzero rank {omega} "
@@ -334,6 +403,8 @@ def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
             f"{npairs} pairs exceed the guard ({pair_guard}) and the code is "
             "not linear; raise the guard to force the scan"
         )
+    if sample_pairs < 0:
+        raise ValueError(f"sample_pairs must be >= 0, got {sample_pairs}")
     rng = np.random.default_rng(seed)
     ii = rng.integers(0, m, size=sample_pairs)
     jj = rng.integers(0, m, size=sample_pairs)
@@ -342,7 +413,7 @@ def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
     # nonzero rank against the zero word (the only word of rank 0).
     ii = np.append(ii[keep], np.flatnonzero(ranks == omega)[0])
     jj = np.append(jj[keep], np.flatnonzero(ranks == 0)[0])
-    sampled = _min_rank(_sampled_diffs(arr.__getitem__, ii, jj), p)
+    sampled = _sampled_min_rank(arr.__getitem__, ii, jj, p, CHUNK)
     if sampled != omega:
         raise RuntimeError(
             f"sampled pairwise minimum {sampled} != minimum nonzero rank {omega}"
@@ -413,44 +484,68 @@ def _image_batch(idx: np.ndarray, p: int, length: int, variant: str) -> np.ndarr
     return out
 
 
-def _image_chunks(p: int, r: int, variant: str, chunk: int = CHUNK):
-    """The variant images of (GF(p^2))^r in enumerate_ext_vectors order, as
-    (B, 2, 2r) stacks of at most ``chunk`` words in one reused buffer."""
-    low = 0  # trailing coordinates in the table: the most that fit in a chunk
+def _table_coords(p: int, r: int, chunk: int) -> int:
+    """Trailing coordinates in the image stream's table: the most whose
+    images fit in a chunk."""
+    low = 0
     while low < r and p ** (2 * low + 2) <= chunk:
         low += 1
+    return low
+
+
+def _image_chunks(p: int, r: int, variant: str, chunk: int,
+                  leads: tuple[int, int] | None = None):
+    """The variant images of (GF(p^2))^r in enumerate_ext_vectors order, as
+    (B, 2, 2r) stacks of at most ``chunk`` words in one reused buffer; each
+    leading block index in ``leads`` (default: all) covers one table."""
+    low = _table_coords(p, r, chunk)
     table = _image_batch(np.arange(p ** (2 * low)), p, low, variant)
-    n_lead, step = p ** (2 * (r - low)), max(1, chunk // len(table))
-    buf = np.empty((min(step, n_lead), len(table), 2, 2 * r), dtype=np.int64)
+    first, stop = leads or (0, p ** (2 * (r - low)))
+    step = max(1, chunk // len(table))
+    buf = np.empty((min(step, stop - first), len(table), 2, 2 * r), dtype=np.int64)
     buf[:, :, :, 2 * (r - low):] = table
-    for start in range(0, n_lead, step):
-        lead = _image_batch(np.arange(start, min(start + step, n_lead)), p, r - low, variant)
+    for start in range(first, stop, step):
+        lead = _image_batch(np.arange(start, min(start + step, stop)), p, r - low, variant)
         buf[:len(lead), :, :, :2 * (r - low)] = lead[:, None]
         yield buf[:len(lead)].reshape(-1, 2, 2 * r)
 
 
 def image_rank_counts(p: int, r: int, variant: str = "O",
-                      chunk: int = CHUNK) -> dict[int, int]:
+                      chunk: int | None = None) -> dict[int, int]:
     """Rank histogram {0: n0, 1: n1, 2: n2} of the variant image over all
-    p^(2r) vectors, streamed so nothing is materialized."""
-    counts = np.zeros(3, dtype=np.int64)
-    for mats in _image_chunks(p, r, variant, chunk):
-        counts += np.bincount(batch_rank(mats, p), minlength=3)
+    p^(2r) vectors, streamed ``chunk`` (default CHUNK) words at a time so
+    nothing is materialized."""
+    chunk = chunk or CHUNK
+    low = _table_coords(p, r, chunk)
+
+    def part(start, stop):
+        counts = np.zeros(3, dtype=np.int64)
+        for mats in _image_chunks(p, r, variant, chunk, (start, stop)):
+            counts += np.bincount(batch_rank(mats, p), minlength=3)
+        return counts
+
+    leads = np.arange(p ** (2 * (r - low)) + 1) * p ** (2 * low)
+    counts = sum(_run_parts(part, leads, chunk))
     return {i: int(counts[i]) for i in range(3)}
 
 
 def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
                                n_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                               seed: int = 0, chunk: int = CHUNK) -> int:
+                               seed: int = 0, chunk: int | None = None) -> int:
     """Minimum rank of image(u) - image(v) over a seeded sample of distinct
     vector pairs (u, v); companion check for guard-excluded pairwise scans."""
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     total = p ** (2 * r)
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, total, size=n_pairs)
     ib = rng.integers(0, total, size=n_pairs)
     keep = ia != ib
+    if not keep.any():
+        raise ValueError(f"no distinct pair among the n_pairs={n_pairs} drawn; "
+                         "raise n_pairs")
     images = partial(_image_batch, p=p, length=r, variant=variant)
-    return _min_rank(_sampled_diffs(images, ia[keep], ib[keep], chunk), p)
+    return _sampled_min_rank(images, ia[keep], ib[keep], p, chunk or CHUNK)
 
 
 def isometry_counterexamples(p: int, guard: int = 1 << 20) -> list[ExtVector]:

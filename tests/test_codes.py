@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from grasslift.codes import (
     _image_batch,
     _image_chunks,
     _min_rank,
+    _split,
+    _table_coords,
     bachoc_weight,
     build_image_code,
     embed_zeros_even,
@@ -496,10 +499,14 @@ def test_image_stream_matches_scalar_map_for_every_chunk_layout(p, r, variant):
     words = [variant_image(v, variant).to_lists() for v in enumerate_ext_vectors(p, r)]
     histogram = reference_rank_histogram(words, p)
     for chunk in chunk_layouts(p, r):
-        # The stacks share one buffer, so each is copied before the next.
-        stacks = [m.copy() for m in _image_chunks(p, r, variant, chunk)]
-        assert all(0 < len(m) <= chunk for m in stacks), chunk
-        assert np.concatenate(stacks).tolist() == words, chunk
+        n_lead = p ** (2 * (r - _table_coords(p, r, chunk)))
+        # Whole, and as two parts of leading blocks; the stacks share one
+        # buffer, so each is copied before the next.
+        for parts in ([None], [(0, n_lead // 2), (n_lead // 2, n_lead)]):
+            stacks = [m.copy() for leads in parts
+                      for m in _image_chunks(p, r, variant, chunk, leads)]
+            assert all(0 < len(m) <= chunk for m in stacks), (chunk, parts)
+            assert np.concatenate(stacks).tolist() == words, (chunk, parts)
         assert image_rank_counts(p, r, variant, chunk=chunk) == histogram, chunk
 
 
@@ -517,16 +524,20 @@ def distinct_words(p, shape, draw_entries):
     entries=st.lists(st.lists(st.integers(0, 6), min_size=8, max_size=8),
                      min_size=2, max_size=14),
     chunk=st.integers(1, 40),
+    cut=st.integers(0, 13),
 )
-def test_pair_scan_matches_double_loop(p, ncols, entries, chunk):
+def test_pair_scan_matches_double_loop(p, ncols, entries, chunk, cut):
     arr = distinct_words(p, (2, ncols), [e[:2 * ncols] for e in entries])
     m = len(arr)
     if m < 2:
         return
-    stacks = [d.copy() for d in _all_pair_diffs(arr, chunk)]
-    assert all(0 < len(d) <= chunk for d in stacks)
     expected = [arr[j] - arr[i] for i in range(m) for j in range(i + 1, m)]
-    np.testing.assert_array_equal(np.concatenate(stacks), expected)
+    # Whole, and as two parts of word rows split at ``cut``.
+    cut = min(cut, m - 1)
+    for parts in ([None], [(0, cut), (cut, m - 1)]):
+        stacks = [d.copy() for rows in parts for d in _all_pair_diffs(arr, chunk, rows)]
+        assert all(0 < len(d) <= chunk for d in stacks)
+        np.testing.assert_array_equal(np.concatenate(stacks), expected)
     words = arr.tolist()
     assert _min_rank(_all_pair_diffs(arr, chunk), p) == reference_pair_min_rank(words, p)
     code = RankMetricCode(words, p)
@@ -545,3 +556,110 @@ def test_pair_scan_non_linear_codes_of_distance_one_and_two(chunk):
         assert reference_pair_min_rank(words, p) == d
         arr = np.array(words, dtype=np.int64)
         assert _min_rank(_all_pair_diffs(arr, chunk), p) == d
+
+
+# ---------------------------------------------------------------------------
+# scans split into parts across threads
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 30), min_size=1, max_size=40),
+    workers=st.integers(1, 6),
+    chunk=st.integers(1, 200),
+)
+def test_split_gives_contiguous_covering_parts(weights, workers, chunk):
+    cum = np.concatenate(([0], np.cumsum(weights)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "WORKERS", workers)
+        parts = _split(cum, chunk)
+    assert parts[0][0] == 0 and parts[-1][1] == len(weights)
+    assert all(a < b for a, b in parts)
+    assert all(b == c for (_, b), (c, _) in zip(parts, parts[1:]))
+    assert len(parts) <= workers
+    if cum[-1] <= chunk:
+        assert len(parts) == 1
+
+
+def false_linear_code():
+    """The (3, 2) O image with its last word replaced by words[-2] + E_11:
+    still 81 words of rank <= 2 with the zero word, but the last pair, in the
+    last row of the pair scan, has rank 1."""
+    words = build_image_code(3, 2, "O").words.copy()
+    words[-1] = words[-2]
+    words[-1, 0, 0] = (words[-1, 0, 0] + 1) % 3
+    return RankMetricCode(words, 3, linear=True)
+
+
+def scan_results():
+    """Every scan whose work is split into parts, on cases of one to many
+    parts (fewer leading blocks, rows or pairs than workers included)."""
+    out = {}
+    for p, r, variant in ((2, 1, "O"), (3, 1, "E"), (3, 2, "O"), (7, 1, "E")):
+        out[("counts", p, r, variant)] = image_rank_counts(p, r, variant)
+    for n_pairs in (1, 3, 300):
+        out[("sample", n_pairs)] = sample_image_pair_min_rank(3, 2, "E", n_pairs, seed=5)
+    # At p = 5 the image has rank-1 words; seed 19 draws four distinct pairs
+    # and only the last has a rank-1 difference, so every part counts.
+    out["sample p=5"] = sample_image_pair_min_rank(5, 1, "O", 4, seed=19)
+    # Three words (two rows of pairs) and the 81 words of the (3, 2) E image.
+    three = [[[0, 0], [0, 0]], [[1, 0], [0, 1]], [[2, 0], [0, 2]]]
+    for words in (three, build_image_code(3, 2, "E").words):
+        out[("exhaustive", len(words))] = min_rank_distance(RankMetricCode(words, 3))
+        out[("sampled", len(words))] = min_rank_distance(
+            RankMetricCode(words, 3, linear=True), pair_guard=1, sample_pairs=200, seed=2)
+    with pytest.raises(RuntimeError) as err:
+        min_rank_distance(false_linear_code())
+    out["false linear"] = str(err.value)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_scans_are_independent_of_the_split(monkeypatch, workers, chunk):
+    monkeypatch.setattr(codes, "WORKERS", 1)
+    expected = scan_results()
+    assert expected["sample p=5"] == 1
+    assert expected["false linear"] == ("pairwise minimum 1 != minimum nonzero rank 2 "
+                                        "for a linear code")
+    monkeypatch.setattr(codes, "WORKERS", workers)
+    monkeypatch.setattr(codes, "CHUNK", chunk)
+    assert scan_results() == expected
+
+
+@pytest.mark.parametrize("raising", ["helper", "caller"])
+@pytest.mark.parametrize("scan", [
+    lambda: image_rank_counts(3, 2, "O"),
+    lambda: min_rank_distance(build_image_code(3, 2, "O")),
+], ids=["stream", "pairs"])
+def test_part_errors_reach_the_caller(monkeypatch, scan, raising):
+    monkeypatch.setattr(codes, "WORKERS", 3)
+    monkeypatch.setattr(codes, "CHUNK", 7)
+    original = codes.batch_rank
+
+    def failing(mats, p):
+        if (threading.current_thread() is threading.main_thread()) == (raising == "caller"):
+            raise ArithmeticError(f"{raising} part failed")
+        return original(mats, p)
+
+    scan()  # the unpatched scan: with CHUNK = 7 it runs in three parts
+    monkeypatch.setattr(codes, "batch_rank", failing)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"{raising} part failed"):
+        scan()
+    assert threading.active_count() == before
+
+
+def test_sample_image_pair_min_rank_refuses_degenerate_samples():
+    for n_pairs in (0, -1):
+        with pytest.raises(ValueError, match="n_pairs"):
+            sample_image_pair_min_rank(2, 1, "O", n_pairs=n_pairs)
+    # Seed 10 draws the one pair (u, u) among the 4 vectors of GF(4).
+    with pytest.raises(ValueError, match="n_pairs"):
+        sample_image_pair_min_rank(2, 1, "O", n_pairs=1, seed=10)
+    assert sample_image_pair_min_rank(2, 1, "O", n_pairs=1, seed=0) == 2
+    # min_rank_distance always adds its pinned pair, so 0 sampled pairs is valid.
+    code = build_image_code(2, 1, "O")
+    with pytest.raises(ValueError, match="sample_pairs"):
+        min_rank_distance(code, pair_guard=1, sample_pairs=-1)
+    assert min_rank_distance(code, pair_guard=1, sample_pairs=0) == 2
