@@ -8,6 +8,7 @@ or parameter errors (including size-guard refusals).
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -113,6 +114,23 @@ def _load_code_file(path: str):
     raise click.UsageError(f"{path} is not a recognized code file")
 
 
+class OutPath(click.Path):
+    """A file path to write: not a directory, and inside an existing,
+    writable directory, so a bad path is refused before any work."""
+
+    def __init__(self):
+        super().__init__(dir_okay=False, writable=True)
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        parent = Path(path).absolute().parent
+        if not parent.is_dir():
+            self.fail(f"directory {str(parent)!r} does not exist", param, ctx)
+        if not os.access(parent, os.W_OK):
+            self.fail(f"directory {str(parent)!r} is not writable", param, ctx)
+        return path
+
+
 @click.group()
 def main():
     """Exact constructions and checks for rank-metric matrix codes and the
@@ -121,7 +139,7 @@ def main():
 
 @main.command("table")
 @click.option("--p", type=int, required=True, help="Field characteristic (2 or 3).")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", type=OutPath(), default=None,
               help="Write the CSV here instead of stdout.")
 def cmd_table(p, out):
     """Emit the weight table (alpha, hamming, phi, bachoc, rank) as CSV."""
@@ -140,7 +158,7 @@ def cmd_table(p, out):
 @click.option("--p", type=int, required=True)
 @click.option("--r", type=int, required=True)
 @click.option("--variant", type=click.Choice(["O", "E"]), default="O", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True,
+@click.option("--out", type=OutPath(), required=True,
               help="Path for the JSON code file.")
 @click.option("--guard", type=int, default=PAIR_GUARD, show_default=True,
               help="Cap on pairwise verification operations.")
@@ -275,9 +293,9 @@ def cmd_verify(code_path, checks, guard, seed):
 @click.option("--p", type=int, required=True)
 @click.option("--r", type=int, required=True)
 @click.option("--variant", type=click.Choice(["O", "E"]), default="O", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True,
+@click.option("--out", type=OutPath(), required=True,
               help="Path for the DOT file (a .json sidecar holds the full bases).")
-@click.option("--adjacency", type=click.Path(dir_okay=False), default=None,
+@click.option("--adjacency", type=OutPath(), default=None,
               help="Also write the 0/1 adjacency matrix as CSV.")
 @click.option("--guard", type=int, default=PAIR_GUARD, show_default=True)
 def cmd_graph(p, r, variant, out, adjacency, guard):
@@ -285,6 +303,7 @@ def cmd_graph(p, r, variant, out, adjacency, guard):
     started = time.perf_counter()
     if p > LABEL_MAX_P:
         raise click.UsageError(f"graph labels support p <= {LABEL_MAX_P}, got p={p}")
+    OutPath().convert(out + ".json", None, click.get_current_context())
     try:
         code = anticode_optimal_code(p, r, variant, pair_guard=guard)
         g = intersection_graph(code, pair_guard=guard)

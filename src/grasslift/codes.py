@@ -253,7 +253,9 @@ class RankMetricCode:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RankMetricCode":
-        code = cls(data["words"], data["p"], linear=bool(data["linear"]))
+        if not isinstance(data["linear"], bool):
+            raise ValueError(f"linear must be true or false, got {data['linear']!r}")
+        code = cls(data["words"], data["p"], linear=data["linear"])
         if code.shape != (data["k"], data["l"]):
             raise ValueError("word shape does not match declared (k, l)")
         return code

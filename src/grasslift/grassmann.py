@@ -7,10 +7,16 @@ array of RREF bases, checked by one :func:`batch_rref` call over all of them.
 Minimum distances are never taken on faith: every construction here
 recomputes them by a full pairwise scan and refuses to return an object
 whose parameters disagree with the scan.  The
-scan (:func:`pairwise_intersection_dims`) reduces all later words against
-one word's RREF basis at a time and ranks every pair's remainder; with
-k = 2 or n - k = 2 each remainder has two rows and is ranked by reducing
-its bottom row against its top row's pivot column.
+scan (:func:`pairwise_intersection_dims`) takes one of two exact paths.
+When 2k <= n and the words have no more projective points than pairs, it
+lists each word's (p^k-1)/(p-1) points, normalized, and sorts them all
+once: two subspaces meet in dimension t exactly when they share
+(p^t-1)/(p-1) points, so the colliding points give every pair's
+dimension, and pairs that share none meet in zero (the paper's codes have
+no collision at all).  Otherwise, as for the paper's duals at r >= 2, it
+reduces all later words against one word's RREF basis at a time and ranks every
+pair's remainder; with k = 2 or n - k = 2 each remainder has two rows and
+is ranked by reducing its bottom row against its top row's pivot column.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .matfp import (MatrixFp, batch_lift, batch_rank, batch_rref, check_modulus,
 from .codes import PAIR_GUARD, RankMetricCode, build_image_code
 
 ENUMERATION_GUARD = 1 << 20
+# Collision pairs expanded at once, and points built at once, by the point scan.
+CHUNK = 1 << 16
 
 
 class Subspace:
@@ -243,7 +251,10 @@ class GrassmannianCode:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrassmannianCode":
-        code = cls(data["words"], data["p"], provenance=data.get("provenance"))
+        provenance = data.get("provenance", {})
+        if not isinstance(provenance, dict) or not isinstance(provenance.get("claimed", {}), dict):
+            raise ValueError("provenance and its claimed parameters must be JSON objects")
+        code = cls(data["words"], data["p"], provenance=provenance)
         if (code.n, code.k) != (data["n"], data["k"]):
             raise ValueError("words do not match the declared (n, k)")
         return code
@@ -258,11 +269,13 @@ def pairwise_intersection_dims(bases: np.ndarray, p: int,
     of RREF bases (flat array in triu order, smallest unsigned dtype holding
     k).  0 < k < n only.
 
-    One-vs-all: every later word B_j is reduced against word i's RREF basis
-    A_i at once, R_j = B_j[:, F] - sum_t B_j[:, piv_t] (x) A_i[t, F] over the
-    free columns F of A_i, and dim(A_i n B_j) = k - rank(R_j).  Each pair's
-    rank is still computed; R_j goes to :func:`batch_rank` with
-    min(k, n - k) rows (transposed when k > n - k).
+    Two paths give the same array.  When 2k <= n and the words' M (p^k-1)/(p-1)
+    projective points are no more than the M(M-1)/2 pairs, the point scan
+    (:func:`_point_scan`) reads every pair's dimension off the points the two
+    words share: cost grows with M, not with the pairs.  Every other stack,
+    among them the paper's duals at r >= 2 (2k > n, so every pair shares
+    points), takes the one-vs-all reduction (:func:`_reduction_scan`), which
+    ranks each pair.
     """
     m, k, n = bases.shape
     npairs = m * (m - 1) // 2
@@ -270,10 +283,94 @@ def pairwise_intersection_dims(bases: np.ndarray, p: int,
         raise ValueError(
             f"{npairs} pairs exceed the guard ({pair_guard}); raise it to force the scan"
         )
+    if 2 * k <= n and m * _point_count(k, p) <= npairs:
+        return _point_scan(bases, p)
+    return _reduction_scan(bases, p)
+
+
+def _point_count(t: int, p: int) -> int:
+    """(p^t - 1) / (p - 1), the number of projective points of a t-dimensional space."""
+    p = int(p)
+    return (p**t - 1) // (p - 1)
+
+
+def _normalized_vectors(k: int, p: int) -> np.ndarray:
+    """The (p^k-1)/(p-1) vectors of GF(p)^k whose first nonzero entry is 1,
+    as a (P, k) array."""
+    blocks = []
+    for lead in range(k):
+        tails = list(itertools.product(range(p), repeat=k - lead - 1))
+        block = np.zeros((len(tails), k), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1:] = np.array(tails, dtype=np.int64).reshape(len(tails), -1)
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _point_scan(bases: np.ndarray, p: int) -> np.ndarray:
+    """Intersection dimensions from shared projective points.
+
+    Word i's points are c A_i over the normalized coefficient vectors c;
+    A_i is in RREF, so if c_t = 1 is c's first nonzero coordinate, c A_i is
+    zero before the pivot of row t and 1 at it: each point comes out
+    normalized.
+    Equal points are then equal rows: one sort of their raw bytes puts each
+    point's words in one run, and every word pair in a run shares that
+    point.  A pair meeting in dimension t shares exactly (p^t-1)/(p-1)
+    points, which gives t; the collision pairs are expanded CHUNK at a time.
+    """
+    m, k, n = bases.shape
+    coeffs = _normalized_vectors(k, p)
+    per_word = len(coeffs)
+    points = np.empty((m, per_word, n), dtype=np.min_scalar_type(p - 1))
+    step = max(1, CHUNK // per_word)
+    for lo in range(0, m, step):
+        block = bases[lo:lo + step, None]
+        acc = np.zeros((len(block), per_word, n), dtype=np.int64)
+        # One term per basis row, reduced each time: entries stay below p + p^2.
+        for t in range(k):
+            acc += coeffs[:, t, None] * block[:, :, t]
+            acc %= p
+        points[lo:lo + step] = acc
+    rows = points.reshape(m * per_word, n)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    order = np.argsort(keys)
+    word, keys = order // per_word, keys[order]
+    new_run = np.ones(len(keys), dtype=bool)
+    new_run[1:] = keys[1:] != keys[:-1]
+    # Sorted position q pairs with the later[q] positions after it in its run.
+    run_end = np.append(np.flatnonzero(new_run[1:]) + 1, len(keys))
+    later = run_end[np.cumsum(new_run) - 1] - np.arange(len(keys)) - 1
+    ends = np.cumsum(later)
+    total, npairs = int(ends[-1]), m * (m - 1) // 2
+    shared = np.zeros(npairs, dtype=np.min_scalar_type(per_word))
+    for lo in range(0, total, CHUNK):
+        g = np.arange(lo, min(lo + CHUNK, total))
+        q = np.searchsorted(ends, g, side="right")
+        a, b = word[q], word[q + 1 + g - (ends[q] - later[q])]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        pairs, counts = np.unique(i * (2 * m - i - 1) // 2 + j - i - 1, return_counts=True)
+        shared[pairs] += counts.astype(shared.dtype)
+    out = np.zeros(npairs, dtype=np.min_scalar_type(k))
+    hit = np.flatnonzero(shared)
+    sizes = np.array([_point_count(t, p) for t in range(k + 1)], dtype=np.int64)
+    out[hit] = np.searchsorted(sizes, shared[hit])
+    return out
+
+
+def _reduction_scan(bases: np.ndarray, p: int) -> np.ndarray:
+    """Intersection dimensions by one-vs-all reduction.
+
+    Every later word B_j is reduced against word i's RREF basis A_i at once,
+    R_j = B_j[:, F] - sum_t B_j[:, piv_t] (x) A_i[t, F] over the free columns
+    F of A_i, and dim(A_i n B_j) = k - rank(R_j).  R_j goes to
+    :func:`batch_rank` with min(k, n - k) rows (transposed when k > n - k).
+    """
+    m, k, n = bases.shape
     pivots = (bases != 0).argmax(axis=2)
     free = np.ones((m, n), dtype=bool)
     np.put_along_axis(free, pivots, False, axis=1)
-    out = np.empty(npairs, dtype=np.min_scalar_type(k))
+    out = np.empty(m * (m - 1) // 2, dtype=np.min_scalar_type(k))
     start = 0
     for i in range(m - 1):
         a, f = bases[i], np.flatnonzero(free[i])

@@ -250,12 +250,12 @@ def test_verify_refuses_moduli_above_the_int64_ceiling(runner, tmp_path, payload
     assert "exceeds" in result.output
 
 
-def _matrix_file(words, p=2):
-    return {"p": p, "k": 1, "l": 1, "linear": True, "words": words}
+def _matrix_file(words, p=2, linear=True):
+    return {"p": p, "k": 1, "l": 1, "linear": linear, "words": words}
 
 
-def _subspace_file(words, p=2):
-    return {"p": p, "n": 4, "k": 2, "provenance": {}, "words": words}
+def _subspace_file(words, p=2, provenance=None):
+    return {"p": p, "n": 4, "k": 2, "provenance": provenance or {}, "words": words}
 
 
 E12 = [[1, 0, 0, 0], [0, 1, 0, 0]]
@@ -269,12 +269,17 @@ MALFORMED_FILES = {
     "matrix-string-entry": _matrix_file([[[0]], [["1"]]]),
     "matrix-boolean-entry": _matrix_file([[[False]], [[True]]]),
     "matrix-no-words": _matrix_file([]),
+    # bool("true") would accept the claim, and this code would then pass
+    "matrix-string-linear": _matrix_file([[[0]], [[1]]], linear="true"),
     "subspace-float-entry": _subspace_file([[[1, 0, 0, 0], [0, 1, 0, 0.5]]]),
     "subspace-huge-entry": _subspace_file([[[1, 0, 0, 0], [0, 1, 0, 10**30]]]),
     "subspace-float-modulus": _subspace_file([E12], p=3.0),
     "subspace-ragged-words": _subspace_file([E12, [[1, 0, 0], [0, 1, 0]]]),
     "subspace-string-entry": _subspace_file([[[1, 0, 0, "0"], [0, 1, 0, 0]]]),
     "subspace-no-words": _subspace_file([]),
+    # verify and params would index into the number 5 or into null
+    "subspace-claimed-not-object": _subspace_file([E12], provenance={"claimed": 5}),
+    "subspace-claimed-null": _subspace_file([E12], provenance={"claimed": None}),
 }
 
 
@@ -291,6 +296,31 @@ def test_malformed_code_files_exit_2_without_traceback(runner, tmp_path, name):
         assert isinstance(result.exception, SystemExit), (args[0], result.exception)
         assert "malformed code file" in result.output
         assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["construct", "--p", "2", "--r", "2", "--out", "{missing}/code.json"],
+    ["graph", "--p", "2", "--r", "2", "--out", "{missing}/g.dot"],
+    ["graph", "--p", "2", "--r", "2", "--out", "{tmp}/g.dot", "--adjacency", "{missing}/g.csv"],
+    ["table", "--p", "2", "--out", "{missing}/table.csv"],
+])
+def test_output_under_a_missing_directory_exits_2_before_any_scan(runner, tmp_path, scans, args):
+    args = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "does not exist" in result.output
+    assert "Traceback" not in result.output
+    assert not scans and list(tmp_path.iterdir()) == []
+
+
+def test_graph_refuses_a_directory_at_the_sidecar_path(runner, tmp_path, scans):
+    (tmp_path / "g.dot.json").mkdir()
+    result = runner.invoke(main, ["graph", "--p", "2", "--r", "1", "--out", str(tmp_path / "g.dot")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "is a directory" in result.output
+    assert not scans and not (tmp_path / "g.dot").exists()
 
 
 # ---------------------------------------------------------------------------

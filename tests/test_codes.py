@@ -468,6 +468,15 @@ def test_rank_metric_code_round_trip():
     assert again.rho == code.rho
 
 
+@pytest.mark.parametrize("linear", ["false", "true", 0, 1, None])
+def test_rank_metric_code_from_dict_needs_a_boolean_linear(linear):
+    # "false" would read as True, and refuse this non-linear code for
+    # lacking the zero matrix instead of for its claim.
+    data = {"p": 2, "k": 1, "l": 1, "linear": linear, "words": [[[1]]]}
+    with pytest.raises(ValueError, match="linear must be true or false"):
+        RankMetricCode.from_dict(data)
+
+
 def test_scan_counts_agree_with_materialized_ranks():
     for p, r, variant in ((2, 2, "O"), (3, 2, "E"), (7, 1, "O")):
         code = build_image_code(p, r, variant)

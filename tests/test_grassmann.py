@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grasslift import grassmann
 from grasslift.codes import RankMetricCode, build_image_code
 from grasslift.matfp import MatrixFp
 from grasslift.grassmann import (
@@ -486,16 +487,91 @@ def test_pairwise_intersection_dims_matches_python_int_reference(p, n, data):
 def test_pairwise_intersection_histogram_over_full_grassmannian(n, k, q):
     # A fixed k-space meets q^((k-j)^2) [k,j]_q [n-k,k-j]_q others in
     # dimension j; summed over all M words each unordered pair counts twice.
+    # Both scans are exact for every k, and both are run; with k > n - k
+    # every pair shares points, so the point scan's collisions are dense.
     words = enumerate_grassmannian(n, k, q)
     m = len(words)
     bases = np.stack([w.basis.array for w in words])
-    hist = np.bincount(pairwise_intersection_dims(bases, q, pair_guard=m * m), minlength=k + 1)
+    dims = pairwise_intersection_dims(bases, q, pair_guard=m * m)
+    for scan in (grassmann._point_scan, grassmann._reduction_scan):
+        again = scan(bases, q)
+        assert again.dtype == dims.dtype == np.min_scalar_type(k)
+        assert np.array_equal(again, dims)
+    hist = np.bincount(dims, minlength=k + 1)
     for j in range(k):
         meeting = q ** ((k - j) ** 2) * gaussian_coefficient(k, j, q) * (
             gaussian_coefficient(n - k, k - j, q) if k - j <= n - k else 0
         )
         assert 2 * int(hist[j]) == m * meeting
     assert hist[k] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    n=st.integers(2, 8),
+    data=st.data(),
+)
+def test_point_scan_matches_reduction_and_python_int_reference(p, n, data):
+    # Every k with 2k <= n, including k = 1.  Words are drawn inside a
+    # shared subspace of dimension s, so pairs meet in every dimension, and
+    # some words are repeated, so pairs with t = k occur.
+    k = data.draw(st.integers(1, n // 2), label="k")
+    s = data.draw(st.integers(k, n), label="s")
+    m = data.draw(st.integers(2, 8), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shared = rng.integers(0, p, size=(s, n))
+    while reference_rank(shared, p) < s:
+        shared = rng.integers(0, p, size=(s, n))
+    words = []
+    while len(words) < m:
+        w = span(MatrixFp(rng.integers(0, p, size=(k, s)) @ shared, p))
+        if w.dim == k:
+            words.append(w)
+    repeats = data.draw(st.lists(st.integers(0, m - 1), max_size=3), label="repeats")
+    words += [words[i] for i in repeats]
+    bases = np.stack([w.basis.array for w in words])
+    points, reduction = grassmann._point_scan(bases, p), grassmann._reduction_scan(bases, p)
+    assert points.dtype == reduction.dtype == np.min_scalar_type(k)
+    assert points.tolist() == reduction.tolist() == reference_intersection_dims(words, p)
+
+
+def test_point_scan_counts_dense_collisions_in_small_batches(monkeypatch):
+    # Distinct planes through one common point u of GF(3)^6 meet exactly in
+    # u, so all 7,260 pairs of the 121 words collide there; with CHUNK = 5
+    # the collision pairs are expanded over 1,452 batches.
+    p, n = 3, 6
+    u = [1] + [0] * (n - 1)
+    bases = np.stack([
+        span(MatrixFp([u, [0, *v]], p)).basis.array
+        for v in itertools.product(range(p), repeat=n - 1)
+        if any(v) and v[np.flatnonzero(v)[0]] == 1
+    ])
+    m = len(bases)
+    assert m == (p ** (n - 1) - 1) // (p - 1)
+    monkeypatch.setattr(grassmann, "CHUNK", 5)
+    calls = []
+    scan = grassmann._point_scan
+    monkeypatch.setattr(grassmann, "_point_scan", lambda *a: calls.append(1) or scan(*a))
+    dims = pairwise_intersection_dims(bases, p)
+    assert calls == [1]
+    assert dims.tolist() == [1] * (m * (m - 1) // 2)
+    assert np.array_equal(dims, grassmann._reduction_scan(bases, p))
+
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (7, 1), (2, 3)])
+def test_lifted_codes_take_the_point_scan_and_their_duals_the_reduction(monkeypatch, p, r):
+    calls = []
+    for name in ("_point_scan", "_reduction_scan"):
+        scan = getattr(grassmann, name)
+        monkeypatch.setattr(grassmann, name,
+                            lambda *a, name=name, scan=scan: calls.append(name) or scan(*a))
+    code = anticode_optimal_code(p, r)
+    assert calls == ["_point_scan"]
+    # The duals have dimension 2r > n/2, except at r = 1, where they are
+    # planes of GF(p)^4 again.
+    dual_code(code)
+    assert calls == ["_point_scan", "_point_scan" if r == 1 else "_reduction_scan"]
 
 
 def test_grassmannian_code_round_trip():
