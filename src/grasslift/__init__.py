@@ -8,9 +8,6 @@ structure) is re-verified by exhaustive or explicitly-sampled computation.
 
 from .gf import (
     ExtFieldElement,
-    ext_elements,
-    ext_one,
-    ext_zero,
     is_construction_prime,
     is_prime,
     require_construction_prime,
@@ -22,17 +19,12 @@ from .matfp import (
 from .codes import (
     ExtVector,
     RankMetricCode,
-    bachoc_weight,
     build_image_code,
-    embed_zeros_even,
-    embed_zeros_odd,
     enumerate_ext_vectors,
     even_zero_image,
-    hamming_weight,
     image_rank_counts,
     is_mrd,
     isometry_counterexamples,
-    matrix_image,
     min_nonzero_rank,
     min_rank_distance,
     odd_zero_image,
@@ -44,23 +36,18 @@ from .codes import (
 )
 from .grassmann import (
     GrassmannianCode,
-    Subspace,
     anticode_bound,
     anticode_optimal_code,
     code_params,
     compare_variant_codes,
     dual_code,
-    dual_subspace,
     enumerate_grassmannian,
     gaussian_coefficient,
-    injection_distance,
-    intersection_dim,
     lift_code,
     min_subspace_distance,
     optimal_code_size,
     pairwise_intersection_dims,
     span,
-    subspace_distance,
 )
 from .graph import (
     CodeGraph,

@@ -11,7 +11,10 @@ Two derived maps embed a length-r vector before applying the block map:
 and ``even_zero_image`` places zeros in the even slots (block
 [[a, b], [b, a+b]]).  For primes p with p % 5 in {2, 3} every nonzero image
 of either derived map has rank 2, which makes their full images linear
-rank-metric codes that meet the Singleton bound exactly.
+rank-metric codes that meet the Singleton bound exactly.  The weight tables
+and the isometry report take the block map of length-2 vectors on a
+coefficient array and read Hamming and Bachoc weights off the array and one
+batch_rank of the images.
 
 The rank scans send stacks of at most CHUNK words to matfp.batch_rank.  The
 image of (GF(p^2))^r streams as a product of per-coordinate 2 x 2 blocks: a
@@ -35,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .gf import ExtFieldElement, ext_elements, ext_zero, require_construction_prime
+from .gf import ExtFieldElement, require_construction_prime
 from .matfp import MatrixFp, batch_rank, check_modulus, has_duplicates, int_array
 
 # Materialization cap for explicit word lists and cap on exhaustive pairwise
@@ -106,56 +109,6 @@ def enumerate_ext_vectors(p: int, length: int):
         yield ExtVector(
             ExtFieldElement(flat[2 * i], flat[2 * i + 1], p) for i in range(length)
         )
-
-
-def hamming_weight(v: ExtVector) -> int:
-    """Number of nonzero coordinates."""
-    return sum(1 for c in v if not c.is_zero())
-
-
-def bachoc_weight(m: MatrixFp) -> int:
-    """Weight on 2 x 2 matrices: 0 for zero, 1 for invertible, p otherwise."""
-    if m.shape != (2, 2):
-        raise ValueError(f"Bachoc weight is defined on 2 x 2 matrices, got {m.shape}")
-    if m.is_zero():
-        return 0
-    if m.rank() == 2:
-        return 1
-    return m.p
-
-
-def matrix_image(v: ExtVector) -> MatrixFp:
-    """Block image of an even-length vector, one 2 x 2 block per coordinate
-    pair (a + b*w, c + d*w)."""
-    if len(v) % 2:
-        raise ValueError("vector length must be even")
-    p = v.p
-    top: list[int] = []
-    bot: list[int] = []
-    for i in range(0, len(v), 2):
-        a, b = v[i].a, v[i].b
-        c, d = v[i + 1].a, v[i + 1].b
-        top += [(a + d) % p, (b + c) % p]
-        bot += [(b + c + d) % p, (a + b + d) % p]
-    return MatrixFp([top, bot], p)
-
-
-def embed_zeros_odd(v: ExtVector) -> ExtVector:
-    """(v_1, ..., v_r) -> (0, v_1, 0, v_2, ..., 0, v_r)."""
-    z = ext_zero(v.p)
-    out = []
-    for c in v:
-        out += [z, c]
-    return ExtVector(out)
-
-
-def embed_zeros_even(v: ExtVector) -> ExtVector:
-    """(v_1, ..., v_r) -> (v_1, 0, v_2, 0, ..., v_r, 0)."""
-    z = ext_zero(v.p)
-    out = []
-    for c in v:
-        out += [c, z]
-    return ExtVector(out)
 
 
 def odd_zero_image(v: ExtVector) -> MatrixFp:
@@ -550,6 +503,22 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     return _sampled_min_rank(images, ia[keep], ib[keep], p, chunk or CHUNK)
 
 
+def _weight_scan(p: int, count: int):
+    """The first ``count`` vectors of (GF(p^2))^2 in enumerate_ext_vectors
+    order as a (count, 2, 2) coefficient array, with their block images
+    [[a + d, b + c], [b + c + d, a + b + d]] (coordinates (a + b*w, c + d*w)),
+    Hamming weights, image ranks by one batch_rank, and Bachoc weights
+    (0 for the zero matrix, 1 for an invertible one, p otherwise)."""
+    place = p ** np.arange(3, -1, -1, dtype=np.int64)
+    coeffs = (np.arange(count, dtype=np.int64)[:, None] // place % p).reshape(-1, 2, 2)
+    a, b, c, d = coeffs.reshape(-1, 4).T
+    images = np.stack([a + d, b + c, b + c + d, a + b + d], axis=1).reshape(-1, 2, 2) % p
+    ranks = batch_rank(images, p)
+    hamming = coeffs.any(axis=2).sum(axis=1)
+    bachoc = np.array([0, p, 1])[ranks]
+    return coeffs, images, hamming, ranks, bachoc
+
+
 def isometry_counterexamples(p: int, guard: int = 1 << 20) -> list[ExtVector]:
     """All length-2 vectors whose Hamming weight differs from the Bachoc
     weight of their matrix image; an empty list certifies the isometry.
@@ -558,44 +527,28 @@ def isometry_counterexamples(p: int, guard: int = 1 << 20) -> list[ExtVector]:
     """
     if p**4 > guard:
         raise ValueError(f"p^4 = {p**4} exceeds the scan guard ({guard})")
-    out = []
-    for v in enumerate_ext_vectors(p, 2):
-        if hamming_weight(v) != bachoc_weight(matrix_image(v)):
-            out.append(v)
-    return out
+    coeffs, _, hamming, _, bachoc = _weight_scan(p, p**4)
+    return [ExtVector.from_pairs(pairs, p) for pairs in coeffs[hamming != bachoc].tolist()]
 
 
 TABLE_COLUMNS = ("alpha", "hamming", "phi", "bachoc", "rank")
-
-
-def _entry_digits(m: MatrixFp) -> str:
-    if m.p > 16:
-        raise ValueError("digit encoding supports p <= 16")
-    return "".join(format(int(x), "x") for x in m.array.ravel())
 
 
 def weight_table_rows(p: int) -> list[tuple[str, int, str, int, int]]:
     """Weight-table rows (alpha, hamming, phi, bachoc, rank).
 
     For p=2 the domain is all of (GF(4))^2; for p=3 it is the nine vectors
-    (0, c + d*w) over GF(9).  Other moduli are not part of the table
-    contract.
+    (0, c + d*w) over GF(9), the first nine in enumeration order.  Other
+    moduli are not part of the table contract.
     """
-    if p == 2:
-        vectors = list(enumerate_ext_vectors(2, 2))
-    elif p == 3:
-        zero = ext_zero(3)
-        vectors = [ExtVector([zero, x]) for x in ext_elements(3)]
-    else:
+    if p not in (2, 3):
         raise ValueError("the weight table is defined for p in {2, 3}")
-    rows = []
-    for v in vectors:
-        img = matrix_image(v)
-        rows.append(
-            (str(v), hamming_weight(v), _entry_digits(img), bachoc_weight(img),
-             img.rank())
-        )
-    return rows
+    coeffs, images, hamming, ranks, bachoc = _weight_scan(p, 16 if p == 2 else 9)
+    return [
+        (str(ExtVector.from_pairs(pairs, p)), h, "".join(map(str, image)), w, rank)
+        for pairs, image, h, w, rank in zip(coeffs.tolist(), images.reshape(-1, 4).tolist(),
+                                            hamming.tolist(), bachoc.tolist(), ranks.tolist())
+    ]
 
 
 def weight_table_csv(p: int) -> str:

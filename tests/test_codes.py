@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasslift import codes
-from grasslift.gf import ExtFieldElement, ext_elements, ext_zero
+from grasslift.gf import ExtFieldElement
 from grasslift.matfp import MatrixFp
 from grasslift.codes import (
     ExtVector,
@@ -17,17 +17,12 @@ from grasslift.codes import (
     _min_rank,
     _split,
     _table_coords,
-    bachoc_weight,
     build_image_code,
-    embed_zeros_even,
-    embed_zeros_odd,
     enumerate_ext_vectors,
     even_zero_image,
-    hamming_weight,
     image_rank_counts,
     is_mrd,
     isometry_counterexamples,
-    matrix_image,
     min_nonzero_rank,
     min_rank_distance,
     odd_zero_image,
@@ -37,7 +32,18 @@ from grasslift.codes import (
     weight_table_csv,
     weight_table_rows,
 )
-from oracles import reference_pair_min_rank, reference_rank_histogram
+from oracles import (
+    bachoc_weight,
+    embed_zeros_even,
+    embed_zeros_odd,
+    ext_elements,
+    ext_zero,
+    hamming_weight,
+    matrix_image,
+    reference_pair_min_rank,
+    reference_rank,
+    reference_rank_histogram,
+)
 
 
 def ev(p, *pairs):
@@ -136,12 +142,12 @@ def test_hamming_weight():
 
 
 def test_bachoc_weight():
-    assert bachoc_weight(MatrixFp.zeros(2, 2, 2)) == 0
-    assert bachoc_weight(MatrixFp([[0, 1], [1, 0]], 2)) == 1
-    assert bachoc_weight(MatrixFp([[1, 1], [1, 1]], 2)) == 2
-    assert bachoc_weight(MatrixFp([[1, 2], [3, 1]], 5)) == 5
+    assert bachoc_weight([[0, 0], [0, 0]], 2) == 0
+    assert bachoc_weight([[0, 1], [1, 0]], 2) == 1
+    assert bachoc_weight([[1, 1], [1, 1]], 2) == 2
+    assert bachoc_weight([[1, 2], [3, 1]], 5) == 5
     with pytest.raises(ValueError, match="2 x 2"):
-        bachoc_weight(MatrixFp.zeros(2, 4, 2))
+        bachoc_weight([[0, 0, 0, 0], [0, 0, 0, 0]], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +155,16 @@ def test_bachoc_weight():
 # ---------------------------------------------------------------------------
 
 def test_matrix_image_examples():
-    assert matrix_image(ev(2, (1, 0), (1, 0))) == MatrixFp([[1, 1], [1, 1]], 2)
-    assert matrix_image(ev(3, (0, 0), (1, 1))) == MatrixFp([[1, 1], [2, 1]], 3)
-    assert matrix_image(ev(7, (0, 0), (0, 0))).is_zero()
+    assert matrix_image(ev(2, (1, 0), (1, 0))) == [[1, 1], [1, 1]]
+    assert matrix_image(ev(3, (0, 0), (1, 1))) == [[1, 1], [2, 1]]
+    assert matrix_image(ev(7, (0, 0), (0, 0))) == [[0, 0], [0, 0]]
     with pytest.raises(ValueError, match="even"):
         matrix_image(ev(2, (1, 0)))
 
 
 def test_matrix_image_reference_grid_p2():
     for v in enumerate_ext_vectors(2, 2):
-        assert matrix_image(v).to_lists() == REFERENCE_IMAGES_P2[str(v)]
+        assert matrix_image(v) == REFERENCE_IMAGES_P2[str(v)]
 
 
 def test_odd_zero_image_examples():
@@ -176,12 +182,12 @@ def test_even_zero_image_examples():
 def test_variant_images_agree_with_interleaved_base_map():
     for p, r in ((2, 1), (2, 2), (3, 1), (3, 2), (7, 1)):
         for v in enumerate_ext_vectors(p, r) if p ** (2 * r) <= 100 else []:
-            assert odd_zero_image(v) == matrix_image(embed_zeros_odd(v))
-            assert even_zero_image(v) == matrix_image(embed_zeros_even(v))
+            assert odd_zero_image(v).to_lists() == matrix_image(embed_zeros_odd(v))
+            assert even_zero_image(v).to_lists() == matrix_image(embed_zeros_even(v))
     # sampled larger case
     v = ev(13, (5, 9), (0, 12), (7, 1))
-    assert odd_zero_image(v) == matrix_image(embed_zeros_odd(v))
-    assert even_zero_image(v) == matrix_image(embed_zeros_even(v))
+    assert odd_zero_image(v).to_lists() == matrix_image(embed_zeros_odd(v))
+    assert even_zero_image(v).to_lists() == matrix_image(embed_zeros_even(v))
 
 
 def test_base_map_is_additive_homogeneous_injective():
@@ -195,13 +201,13 @@ def test_base_map_is_additive_homogeneous_injective():
         for u in vectors[:: max(1, len(vectors) // 9)]:
             for v in vectors[:: max(1, len(vectors) // 9)]:
                 s = ExtVector([a + b for a, b in zip(u, v)])
-                assert matrix_image(s) == MatrixFp(
-                    (images[u].array + images[v].array), p
-                )
+                assert matrix_image(s) == [
+                    [(x + y) % p for x, y in zip(ru, rv)] for ru, rv in zip(images[u], images[v])
+                ]
         for c in range(p):
             for v in vectors[:: max(1, len(vectors) // 9)]:
                 scaled = ExtVector([x * c for x in v])
-                assert matrix_image(scaled) == MatrixFp(images[v].array * c, p)
+                assert matrix_image(scaled) == [[x * c % p for x in row] for row in images[v]]
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +392,25 @@ def test_isometry_report_p3_contains_specific_counterexample():
     assert witness in report
     # recompute the mismatch independently of the scan
     img = matrix_image(witness)
-    assert img == MatrixFp([[2, 0], [1, 2]], 3)
-    assert img.rank() == 2 and bachoc_weight(img) == 1
+    assert img == [[2, 0], [1, 2]]
+    assert reference_rank(img, 3) == 2 and bachoc_weight(img, 3) == 1
     assert hamming_weight(witness) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_isometry_report_matches_scalar_oracle(p):
+    # The report reads weights off coefficient arrays and one batch_rank;
+    # the oracle takes each vector's scalar image and weights one by one.
+    expected = [v for v in enumerate_ext_vectors(p, 2)
+                if hamming_weight(v) != bachoc_weight(matrix_image(v), p)]
+    assert isometry_counterexamples(p) == expected
 
 
 def test_isometry_report_p2_zero_first_coordinate_rows():
     zero = ext_zero(2)
     for x in ext_elements(2):
         v = ExtVector([zero, x])
-        assert hamming_weight(v) == bachoc_weight(matrix_image(v))
+        assert hamming_weight(v) == bachoc_weight(matrix_image(v), 2)
 
 
 def test_isometry_guard():

@@ -6,14 +6,11 @@ from hypothesis import given, settings, strategies as st
 from grasslift.gf import (
     ExtFieldElement,
     MR_EXACT_BELOW,
-    ext_elements,
-    ext_one,
-    ext_zero,
     is_construction_prime,
     is_prime,
     require_construction_prime,
 )
-from oracles import reference_is_prime
+from oracles import ext_elements, ext_one, ext_zero, reference_is_prime
 
 CONSTRUCTION_PRIMES_50 = [2, 3, 7, 13, 17, 23, 37, 43, 47]
 

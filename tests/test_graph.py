@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from grasslift.matfp import MatrixFp
 from grasslift.grassmann import GrassmannianCode, anticode_optimal_code, span
 from grasslift.graph import (
     CodeGraph,
@@ -18,9 +17,17 @@ from grasslift.graph import (
 
 
 def two_word_intersecting_code():
-    a = span(MatrixFp([[1, 0, 0, 0], [0, 1, 0, 0]], 2))
-    b = span(MatrixFp([[1, 0, 0, 0], [0, 0, 1, 0]], 2))
-    return GrassmannianCode([a.basis.array, b.basis.array], 2)
+    a = span([[1, 0, 0, 0], [0, 1, 0, 0]], 2)
+    b = span([[1, 0, 0, 0], [0, 0, 1, 0]], 2)
+    return GrassmannianCode([a, b], 2)
+
+
+def adjacency_of(m, edges):
+    """The (m, m) boolean adjacency matrix of an edge list."""
+    adj = np.zeros((m, m), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    return adj
 
 
 def test_graph_counts_p2_r1():
@@ -62,34 +69,40 @@ def test_distance_four_planes_always_complete():
 
 def test_single_vertex_graph_is_complete():
     code = anticode_optimal_code(2, 1, "O")
-    g = CodeGraph(code.words[:1], code.p, [])
+    g = CodeGraph(code.words[:1], code.p, np.zeros((1, 1), dtype=bool))
     assert is_complete(g)
     assert degree_sequence(g) == [0]
 
 
 def test_missing_edge_not_complete():
     g = intersection_graph(anticode_optimal_code(2, 1, "O"))
-    smaller = CodeGraph(g.vertices, g.p, sorted(g.edges)[:-1])
+    adjacency = g.adjacency.copy()
+    adjacency[3, 4] = adjacency[4, 3] = False
+    smaller = CodeGraph(g.vertices, g.p, adjacency)
     assert not is_complete(smaller)
+    assert smaller.n_edges == g.n_edges - 1
 
 
 def test_edgeless_graph_degrees():
     code = anticode_optimal_code(2, 1, "O")
-    g = CodeGraph(code.words[:3], code.p, [])
+    g = CodeGraph(code.words[:3], code.p, np.zeros((3, 3), dtype=bool))
     assert degree_sequence(g) == [0, 0, 0]
 
 
 def test_code_graph_validation():
     code = anticode_optimal_code(2, 1, "O")
     with pytest.raises(ValueError, match="loops"):
-        CodeGraph(code.words, code.p, [(1, 1)])
-    with pytest.raises(ValueError, match="out of range"):
-        CodeGraph(code.words, code.p, [(0, 9)])
-    # duplicate and reversed edges collapse to one; edges come out sorted
-    g = CodeGraph(code.words, code.p, [(0, 1), (1, 0), (0, 1)])
+        CodeGraph(code.words, code.p, adjacency_of(5, [(1, 1)]))
+    with pytest.raises(ValueError, match="shape"):
+        CodeGraph(code.words, code.p, adjacency_of(6, [(0, 5)]))
+    asymmetric = np.zeros((5, 5), dtype=bool)
+    asymmetric[0, 1] = True
+    with pytest.raises(ValueError, match="symmetric"):
+        CodeGraph(code.words, code.p, asymmetric)
+    g = CodeGraph(code.words, code.p, adjacency_of(5, [(0, 1), (1, 0), (0, 1)]))
     assert g.n_edges == 1
-    g = CodeGraph(code.words, code.p, [(3, 1), (4, 0), (1, 0), (2, 4)])
-    assert g.edges == [(0, 1), (0, 4), (1, 3), (2, 4)]
+    g = CodeGraph(code.words, code.p, adjacency_of(5, [(3, 1), (4, 0), (1, 0), (2, 4)]))
+    assert g.n_edges == 4
     assert degree_sequence(g) == [2, 2, 1, 1, 2]
 
 
@@ -99,6 +112,27 @@ def test_dot_output_exact():
         "graph Gamma {\n"
         '  0 [label="0:10000100"];\n'
         '  1 [label="1:10000010"];\n'
+        "}\n"
+    )
+
+
+def test_dot_output_exact_with_missing_edge_and_isolated_vertex():
+    # Vertices 0-3 form K4 less the edge {1, 3}; vertex 4 is isolated.
+    code = anticode_optimal_code(2, 1, "O")
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+    g = CodeGraph(code.words, code.p, adjacency_of(5, edges))
+    assert to_dot(g) == (
+        "graph Gamma {\n"
+        '  0 [label="0:10000100"];\n'
+        '  1 [label="1:10100111"];\n'
+        '  2 [label="2:10010110"];\n'
+        '  3 [label="3:10110101"];\n'
+        '  4 [label="4:00100001"];\n'
+        "  0 -- 1;\n"
+        "  0 -- 2;\n"
+        "  0 -- 3;\n"
+        "  1 -- 2;\n"
+        "  2 -- 3;\n"
         "}\n"
     )
 
@@ -131,7 +165,7 @@ def test_adjacency_matrix_and_csv():
     assert rows[0] == "0,1,1,1,1"
     g0 = intersection_graph(two_word_intersecting_code())
     assert adjacency_csv(g0) == "0,0\n0,0\n"
-    g1 = CodeGraph(g.vertices[:3], g.p, [(2, 0)])
+    g1 = CodeGraph(g.vertices[:3], g.p, adjacency_of(3, [(2, 0)]))
     assert adjacency_csv(g1) == "0,0,1\n0,0,0\n1,0,0\n"
 
 

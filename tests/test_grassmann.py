@@ -6,29 +6,33 @@ from hypothesis import given, settings, strategies as st
 
 from grasslift import grassmann
 from grasslift.codes import RankMetricCode, build_image_code
-from grasslift.matfp import MatrixFp
+from grasslift.matfp import batch_rref
 from grasslift.grassmann import (
     GrassmannianCode,
-    Subspace,
     anticode_bound,
     anticode_optimal_code,
     code_params,
     compare_variant_codes,
     dual_code,
-    dual_subspace,
     enumerate_grassmannian,
     gaussian_coefficient,
-    injection_distance,
-    intersection_dim,
     lift_code,
     min_subspace_distance,
     optimal_code_size,
     pairwise_intersection_dims,
     span,
-    subspace_distance,
 )
 
-from oracles import reference_points, reference_rank
+from oracles import (
+    Subspace,
+    dual_subspace,
+    injection_distance,
+    intersection_dim,
+    reference_intersection_dims,
+    reference_points,
+    reference_rank,
+    subspace_distance,
+)
 
 # Reference words of the optimal (4, 5, 4, 2) code over GF(2), as the full
 # vector sets of the five planes.
@@ -64,16 +68,13 @@ def brute_force_subspace_sets(n, k, p):
 def random_invertible(k, p, rng):
     while True:
         m = rng.integers(0, p, size=(k, k))
-        if MatrixFp(m, p).rank() == k:
+        if reference_rank(m, p) == k:
             return m
 
 
-def reference_intersection_dims(words, p):
-    """dim A + dim B - rank([A; B]) for every pair, in triu order."""
-    return [
-        a.dim + b.dim - reference_rank(a.to_lists() + b.to_lists(), p)
-        for a, b in itertools.combinations(words, 2)
-    ]
+def sub(rows, p):
+    """The oracle subspace spanned by ``rows``, canonicalized by span."""
+    return Subspace(span(rows, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -81,22 +82,22 @@ def reference_intersection_dims(words, p):
 # ---------------------------------------------------------------------------
 
 def test_span_examples():
-    s = span(MatrixFp([[1, 0, 0, 1], [0, 1, 1, 0]], 2))
-    assert s.dim == 2
-    assert s.to_lists() == [[1, 0, 0, 1], [0, 1, 1, 0]]
-    s = span(MatrixFp([[1, 1], [1, 1]], 2))
-    assert s.dim == 1 and s.to_lists() == [[1, 1]]
-    z = span(MatrixFp.zeros(2, 3, 2))
-    assert z.dim == 0 and reference_points(z.basis.array, 2) == {(0, 0, 0)}
+    s = span([[1, 0, 0, 1], [0, 1, 1, 0]], 2)
+    assert len(s) == 2
+    assert s.tolist() == [[1, 0, 0, 1], [0, 1, 1, 0]]
+    s = span([[1, 1], [1, 1]], 2)
+    assert len(s) == 1 and s.tolist() == [[1, 1]]
+    z = span(np.zeros((2, 3), dtype=np.int64), 2)
+    assert z.shape == (0, 3) and reference_points(z, 2) == {(0, 0, 0)}
 
 
 def test_subspace_requires_canonical_basis():
     with pytest.raises(ValueError, match="canonical"):
-        Subspace(MatrixFp([[1, 1], [1, 1]], 2))
+        Subspace([[1, 1], [1, 1]], 2)
     with pytest.raises(ValueError, match="canonical"):
-        Subspace(MatrixFp([[0, 1], [1, 0]], 2))
+        Subspace([[0, 1], [1, 0]], 2)
     with pytest.raises(ValueError, match="canonical"):
-        Subspace(MatrixFp([[1, 0], [0, 0]], 2))  # in RREF, but rank 1
+        Subspace([[1, 0], [0, 0]], 2)  # in RREF, but rank 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -110,7 +111,7 @@ def test_span_invariant_under_row_operations(p, k, n, seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, p, size=(k, n))
     scramble = random_invertible(k, p, rng)
-    assert span(MatrixFp(rows, p)) == span(MatrixFp(scramble @ rows % p, p))
+    assert np.array_equal(span(rows, p), span(scramble @ rows % p, p))
 
 
 @settings(max_examples=120, deadline=None)
@@ -122,24 +123,24 @@ def test_span_invariant_under_row_operations(p, k, n, seed):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_span_basis_passes_the_public_check(p, rows, n, rank, seed):
-    # span builds its Subspace without the public constructor's check, so
-    # every basis it returns must pass that check.  Generators are products
-    # of random factors (rank-deficient whenever rank < min(rows, n)) with
-    # some rows zeroed; rank 0 gives the zero matrix.
+    # span keeps the nonzero rows of one batch_rref, unchecked, so every
+    # basis it returns must pass the oracle's canonical check.  Generators
+    # are products of random factors (rank-deficient whenever
+    # rank < min(rows, n)) with some rows zeroed; rank 0 gives the zero matrix.
     rng = np.random.default_rng(seed)
     rank = min(rank, rows, n)
     g = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, n)) % p
     g[rng.random(rows) < 0.3] = 0
-    s = span(MatrixFp(g, p))
-    assert Subspace(s.basis) == s
-    assert s.dim == reference_rank(g, p)
+    s = span(g, p)
+    assert np.array_equal(Subspace(s, p).basis, s)
+    assert len(s) == reference_rank(g, p)
 
 
 def test_equal_spans_iff_equal_bases():
     subs = enumerate_grassmannian(4, 2, 2)
     for a, b in itertools.combinations(subs, 2):
-        assert a.basis != b.basis
-        assert reference_points(a.basis.array, 2) != reference_points(b.basis.array, 2)
+        assert not np.array_equal(a, b)
+        assert reference_points(a, 2) != reference_points(b, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +148,15 @@ def test_equal_spans_iff_equal_bases():
 # ---------------------------------------------------------------------------
 
 def test_intersection_dim_examples():
-    e12 = span(MatrixFp([[1, 0, 0, 0], [0, 1, 0, 0]], 2))
-    e13 = span(MatrixFp([[1, 0, 0, 0], [0, 0, 1, 0]], 2))
+    e12 = sub([[1, 0, 0, 0], [0, 1, 0, 0]], 2)
+    e13 = sub([[1, 0, 0, 0], [0, 0, 1, 0]], 2)
     assert intersection_dim(e12, e12) == 2
     assert intersection_dim(e12, e13) == 1
 
 
 def test_distance_examples():
-    e12 = span(MatrixFp([[1, 0, 0, 0], [0, 1, 0, 0]], 2))
-    e13 = span(MatrixFp([[1, 0, 0, 0], [0, 0, 1, 0]], 2))
+    e12 = sub([[1, 0, 0, 0], [0, 1, 0, 0]], 2)
+    e13 = sub([[1, 0, 0, 0], [0, 0, 1, 0]], 2)
     assert subspace_distance(e12, e12) == 0
     assert subspace_distance(e12, e13) == 2
     assert injection_distance(e12, e12) == 0
@@ -163,9 +164,9 @@ def test_distance_examples():
 
 
 def test_ambient_mismatch():
-    a = span(MatrixFp([[1, 0]], 2))
-    b = span(MatrixFp([[1, 0, 0]], 2))
-    c = span(MatrixFp([[1, 0]], 3))
+    a = sub([[1, 0]], 2)
+    b = sub([[1, 0, 0]], 2)
+    c = sub([[1, 0]], 3)
     for other in (b, c):
         with pytest.raises(ValueError, match="ambient mismatch"):
             subspace_distance(a, other)
@@ -173,7 +174,7 @@ def test_ambient_mismatch():
 
 def test_optimal_code_pairwise_distances():
     code = anticode_optimal_code(2, 1, "O")
-    words = [Subspace(MatrixFp(w, code.p)) for w in code.words]
+    words = [Subspace(w, code.p) for w in code.words]
     for a, b in itertools.combinations(words, 2):
         assert intersection_dim(a, b) == 0
         assert subspace_distance(a, b) == 4
@@ -181,7 +182,7 @@ def test_optimal_code_pairwise_distances():
 
 
 def test_metric_axioms_and_doubling_small():
-    subs = enumerate_grassmannian(3, 1, 2) + enumerate_grassmannian(3, 2, 2)
+    subs = [Subspace(w, 2) for k in (1, 2) for w in enumerate_grassmannian(3, k, 2)]
     for a in subs:
         assert subspace_distance(a, a) == 0
         for b in subs:
@@ -221,24 +222,37 @@ def test_enumerate_grassmannian_counts():
     for n in range(1, 6):
         for k in range(n + 1):
             subs = enumerate_grassmannian(n, k, 2)
-            assert len(subs) == len(set(subs)) == gaussian_coefficient(n, k, 2)
+            assert len(subs) == len(np.unique(subs, axis=0)) == gaussian_coefficient(n, k, 2)
     for n in range(1, 5):
         for k in range(n + 1):
             subs = enumerate_grassmannian(n, k, 3)
-            assert len(subs) == len(set(subs)) == gaussian_coefficient(n, k, 3)
+            assert len(subs) == len(np.unique(subs, axis=0)) == gaussian_coefficient(n, k, 3)
 
 
 def test_enumerate_grassmannian_matches_span_oracle_vector_sets():
     expected = brute_force_subspace_sets(4, 2, 2)
-    got = {frozenset(reference_points(s.basis.array, 2)) for s in enumerate_grassmannian(4, 2, 2)}
+    got = {frozenset(reference_points(s, 2)) for s in enumerate_grassmannian(4, 2, 2)}
     assert got == expected
 
 
 def test_enumerate_grassmannian_edges():
     assert len(enumerate_grassmannian(3, 3, 2)) == 1
-    assert enumerate_grassmannian(3, 0, 2)[0].dim == 0
+    assert enumerate_grassmannian(3, 0, 2).shape == (1, 0, 3)
     with pytest.raises(ValueError, match="guard"):
         enumerate_grassmannian(40, 2, 3)
+    with pytest.raises(ValueError, match="not prime"):
+        enumerate_grassmannian(4, 2, 4)
+
+
+@pytest.mark.parametrize("n, k, p", [(4, 2, 2), (6, 3, 2), (5, 2, 3), (4, 1, 5), (3, 0, 2), (3, 3, 2)])
+def test_enumerate_grassmannian_writes_rref_bases(n, k, p):
+    # The cells are written in RREF directly; one more elimination must
+    # change nothing.
+    subs = enumerate_grassmannian(n, k, p)
+    assert subs.shape == (gaussian_coefficient(n, k, p), k, n)
+    reduced, ranks = batch_rref(subs, p)
+    assert np.array_equal(reduced, subs)
+    assert (ranks == k).all()
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +401,11 @@ def test_variant_comparison_reports_without_asserting():
 # ---------------------------------------------------------------------------
 
 def test_dual_subspace_examples():
-    c5 = span(MatrixFp([[0, 0, 1, 0], [0, 0, 0, 1]], 2))
-    assert dual_subspace(c5).to_lists() == [[1, 0, 0, 0], [0, 1, 0, 0]]
-    full = span(MatrixFp.identity(3, 2))
+    c5 = sub([[0, 0, 1, 0], [0, 0, 0, 1]], 2)
+    assert dual_subspace(c5).basis.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    full = sub(np.eye(3, dtype=np.int64), 2)
     assert dual_subspace(full).dim == 0
-    self_orthogonal = span(MatrixFp([[1, 1]], 2))
+    self_orthogonal = sub([[1, 1]], 2)
     assert dual_subspace(self_orthogonal) == self_orthogonal
 
 
@@ -399,10 +413,11 @@ def test_dual_involution_random():
     rng = np.random.default_rng(23)
     for p in (2, 3, 5):
         for _ in range(15):
-            s = span(MatrixFp(rng.integers(0, p, size=(2, 5)), p))
+            s = sub(rng.integers(0, p, size=(2, 5)), p)
             d = dual_subspace(s)
             assert d.dim == 5 - s.dim
             assert dual_subspace(d) == s
+            assert np.array_equal(grassmann.dual_bases(s.basis[None], p)[0], d.basis)
 
 
 def test_dual_code_params():
@@ -418,15 +433,15 @@ def test_dual_code_params():
 # ---------------------------------------------------------------------------
 
 def test_code_container_validation():
-    a = span(MatrixFp([[1, 0, 0, 0], [0, 1, 0, 0]], 2))
-    line = span(MatrixFp([[1, 0, 0, 0]], 2))
+    a = span([[1, 0, 0, 0], [0, 1, 0, 0]], 2)
+    line = span([[1, 0, 0, 0]], 2)
     with pytest.raises(ValueError, match="share one shape"):
-        GrassmannianCode([a.basis.array, line.basis.array], 2)
+        GrassmannianCode([a, line], 2)
     with pytest.raises(ValueError, match="duplicate"):
-        GrassmannianCode([a.basis.array, a.basis.array], 2)
-    other = span(MatrixFp([[1, 0, 0], [0, 1, 0]], 2))
+        GrassmannianCode([a, a], 2)
+    other = span([[1, 0, 0], [0, 1, 0]], 2)
     with pytest.raises(ValueError, match="share one shape"):
-        GrassmannianCode([a.basis.array, other.basis.array], 2)
+        GrassmannianCode([a, other], 2)
 
 
 def test_code_params_detects_stale_cache():
@@ -437,7 +452,7 @@ def test_code_params_detects_stale_cache():
 
 
 def test_code_params_needs_two_words():
-    single = GrassmannianCode([span(MatrixFp([[1, 0]], 2)).basis.array], 2)
+    single = GrassmannianCode([span([[1, 0]], 2)], 2)
     with pytest.raises(ValueError, match="two words"):
         code_params(single)
 
@@ -475,10 +490,10 @@ def test_pairwise_intersection_dims_matches_python_int_reference(p, n, data):
         shared = rng.integers(0, p, size=(s, n))
     words = []
     while len(words) < m:
-        w = span(MatrixFp(rng.integers(0, p, size=(k, s)) @ shared, p))
-        if w.dim == k:
+        w = span(rng.integers(0, p, size=(k, s)) @ shared, p)
+        if len(w) == k:
             words.append(w)
-    got = pairwise_intersection_dims(np.stack([w.basis.array for w in words]), p)
+    got = pairwise_intersection_dims(np.stack(words), p)
     assert got.dtype == np.min_scalar_type(k)
     assert got.tolist() == reference_intersection_dims(words, p)
 
@@ -489,9 +504,8 @@ def test_pairwise_intersection_histogram_over_full_grassmannian(n, k, q):
     # dimension j; summed over all M words each unordered pair counts twice.
     # Both scans are exact for every k, and both are run; with k > n - k
     # every pair shares points, so the point scan's collisions are dense.
-    words = enumerate_grassmannian(n, k, q)
-    m = len(words)
-    bases = np.stack([w.basis.array for w in words])
+    bases = enumerate_grassmannian(n, k, q)
+    m = len(bases)
     dims = pairwise_intersection_dims(bases, q, pair_guard=m * m)
     for scan in (grassmann._point_scan, grassmann._reduction_scan):
         again = scan(bases, q)
@@ -525,15 +539,28 @@ def test_point_scan_matches_reduction_and_python_int_reference(p, n, data):
         shared = rng.integers(0, p, size=(s, n))
     words = []
     while len(words) < m:
-        w = span(MatrixFp(rng.integers(0, p, size=(k, s)) @ shared, p))
-        if w.dim == k:
+        w = span(rng.integers(0, p, size=(k, s)) @ shared, p)
+        if len(w) == k:
             words.append(w)
     repeats = data.draw(st.lists(st.integers(0, m - 1), max_size=3), label="repeats")
     words += [words[i] for i in repeats]
-    bases = np.stack([w.basis.array for w in words])
+    bases = np.stack(words)
     points, reduction = grassmann._point_scan(bases, p), grassmann._reduction_scan(bases, p)
     assert points.dtype == reduction.dtype == np.min_scalar_type(k)
     assert points.tolist() == reduction.tolist() == reference_intersection_dims(words, p)
+
+
+@pytest.mark.parametrize("bases, p", [
+    (np.zeros((0, 2, 4), dtype=np.int64), 2),                      # M = 0
+    (enumerate_grassmannian(4, 2, 3)[5:6], 3),                      # M = 1
+    (np.zeros((4, 0, 3), dtype=np.int64), 2),                      # k = 0
+    (np.repeat(np.eye(3, dtype=np.int64)[None], 3, axis=0), 5),    # k = n
+], ids=["M=0", "M=1", "k=0", "k=n"])
+def test_pairwise_intersection_dims_tiny_inputs(bases, p):
+    got = pairwise_intersection_dims(bases, p)
+    assert got.dtype == np.min_scalar_type(bases.shape[1])
+    assert got.tolist() == reference_intersection_dims(bases, p)
+    assert got.size == len(bases) * (len(bases) - 1) // 2
 
 
 def test_point_scan_counts_dense_collisions_in_small_batches(monkeypatch):
@@ -543,7 +570,7 @@ def test_point_scan_counts_dense_collisions_in_small_batches(monkeypatch):
     p, n = 3, 6
     u = [1] + [0] * (n - 1)
     bases = np.stack([
-        span(MatrixFp([u, [0, *v]], p)).basis.array
+        span([u, [0, *v]], p)
         for v in itertools.product(range(p), repeat=n - 1)
         if any(v) and v[np.flatnonzero(v)[0]] == 1
     ])
