@@ -10,16 +10,16 @@ over all of them.
 Minimum distances are never taken on faith: every construction here
 recomputes them by a full pairwise scan and refuses to return an object
 whose parameters disagree with the scan.  The
-scan (:func:`pairwise_intersection_dims`) takes one of two exact paths.
-When 2k <= n and the words have no more projective points than pairs, it
-lists each word's (p^k-1)/(p-1) points, normalized, and sorts them all
-once: two subspaces meet in dimension t exactly when they share
-(p^t-1)/(p-1) points, so the colliding points give every pair's
-dimension, and pairs that share none meet in zero (the paper's codes have
-no collision at all).  Otherwise, as for the paper's duals at r >= 2, it
-reduces all later words against one word's RREF basis at a time and ranks every
-pair's remainder; with k = 2 or n - k = 2 each remainder has two rows and
-is ranked by reducing its bottom row against its top row's pivot column.
+scan (:func:`pairwise_intersection_dims`) works on the words or, when
+2k > n, on their duals, since (A+B)^perp = A^perp n B^perp.  When that
+side's points are no more than the pairs, it lists each word's points,
+normalized, and sorts them all once: two subspaces meet in dimension t
+exactly when they share (p^t-1)/(p-1) points, so the colliding points give
+every pair's dimension, and pairs that share none meet in zero (the
+paper's codes and their duals have no collision at all).  Otherwise it
+reduces all later words against one word's RREF basis at a time and ranks
+every pair's remainder; two-row remainders are ranked by reducing the
+bottom row against the top row's pivot column.
 """
 
 from __future__ import annotations
@@ -200,15 +200,15 @@ def pairwise_intersection_dims(bases: np.ndarray, p: int,
                                pair_guard: int = PAIR_GUARD) -> np.ndarray:
     """Intersection dimensions over all unordered pairs of a (M, k, n) stack
     of RREF bases (flat array in triu order, smallest unsigned dtype holding
-    k; empty when M < 2, and zeros when k = 0).
+    k; empty when M < 2).
 
-    Two paths give the same array.  When 2k <= n and the words' M (p^k-1)/(p-1)
-    projective points are no more than the M(M-1)/2 pairs, the point scan
-    (:func:`_point_scan`) reads every pair's dimension off the points the two
-    words share: cost grows with M, not with the pairs.  Every other stack,
-    among them the paper's duals at r >= 2 (2k > n, so every pair shares
-    points), takes the one-vs-all reduction (:func:`_reduction_scan`), which
-    ranks each pair.
+    One rule: scan the side of dimension h = min(k, n - k), the words when
+    2k <= n, else their duals (:func:`dual_bases`) with 2k - n added, since
+    (A+B)^perp = A^perp n B^perp.  When that side's M (p^h-1)/(p-1) points
+    are no more than the M(M-1)/2 pairs, the point scan (:func:`_point_scan`)
+    reads each pair's dimension off shared points at a cost growing with M;
+    otherwise the one-vs-all reduction (:func:`_reduction_scan`) ranks each
+    pair.  With h = 0 (k = 0 or k = n) every pair meets in dimension k.
     """
     m, k, n = bases.shape
     npairs = m * (m - 1) // 2
@@ -216,11 +216,12 @@ def pairwise_intersection_dims(bases: np.ndarray, p: int,
         raise ValueError(
             f"{npairs} pairs exceed the guard ({pair_guard}); raise it to force the scan"
         )
-    if m < 2 or k == 0:
-        return np.zeros(npairs, dtype=np.min_scalar_type(k))
-    if 2 * k <= n and m * _point_count(k, p) <= npairs:
-        return _point_scan(bases, p)
-    return _reduction_scan(bases, p)
+    h = min(k, n - k)
+    if m < 2 or h == 0:
+        return np.full(npairs, k, dtype=np.min_scalar_type(k))
+    side = bases if h == k else dual_bases(bases, p)
+    scan = _point_scan if m * _point_count(h, p) <= npairs else _reduction_scan
+    return np.add(scan(side, p), k - h, dtype=np.min_scalar_type(k))
 
 
 def _point_count(t: int, p: int) -> int:
@@ -298,8 +299,8 @@ def _reduction_scan(bases: np.ndarray, p: int) -> np.ndarray:
 
     Every later word B_j is reduced against word i's RREF basis A_i at once,
     R_j = B_j[:, F] - sum_t B_j[:, piv_t] (x) A_i[t, F] over the free columns
-    F of A_i, and dim(A_i n B_j) = k - rank(R_j).  R_j goes to
-    :func:`batch_rank` with min(k, n - k) rows (transposed when k > n - k).
+    F of A_i, and dim(A_i n B_j) = k - rank(R_j).  R_j is a k x (n - k)
+    stack for :func:`batch_rank`; the dispatcher passes only k <= n - k.
     """
     m, k, n = bases.shape
     pivots = (bases != 0).argmax(axis=2)
@@ -318,8 +319,6 @@ def _reduction_scan(bases: np.ndarray, p: int) -> np.ndarray:
             np.multiply(later[:, :, c, None], a[t, f], out=product)
             reduced -= product
             reduced %= p
-        if k > n - k:
-            reduced = reduced.transpose(0, 2, 1)
         out[start:start + len(later)] = k - batch_rank(reduced, p)
         start += len(later)
     return out

@@ -77,6 +77,28 @@ def sub(rows, p):
     return Subspace(span(rows, p), p)
 
 
+def draw_words(data, p, n, k, repeats=False):
+    """Up to 8 k-dimensional RREF bases drawn inside a shared subspace of
+    GF(p)^n of dimension s, so pairs meet in dimension >= 2k - s and every
+    intersection dimension gets exercised; with ``repeats`` up to three
+    words are drawn twice, so pairs with t = k occur."""
+    s = data.draw(st.integers(k, n), label="s")
+    m = data.draw(st.integers(2, 8), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shared = rng.integers(0, p, size=(s, n))
+    while reference_rank(shared, p) < s:
+        shared = rng.integers(0, p, size=(s, n))
+    words = []
+    while len(words) < m:
+        w = span(rng.integers(0, p, size=(k, s)) @ shared, p)
+        if len(w) == k:
+            words.append(w)
+    if repeats:
+        picks = data.draw(st.lists(st.integers(0, m - 1), max_size=3), label="repeats")
+        words += [words[i] for i in picks]
+    return words
+
+
 # ---------------------------------------------------------------------------
 # subspaces and canonical form
 # ---------------------------------------------------------------------------
@@ -473,29 +495,26 @@ def test_pairwise_guard():
 @settings(max_examples=150, deadline=None)
 @given(
     p=st.sampled_from([2, 3, 5, 7, 13]),
-    n=st.integers(2, 7),
+    n=st.integers(2, 8),
     data=st.data(),
 )
 def test_pairwise_intersection_dims_matches_python_int_reference(p, n, data):
-    # Words are drawn inside a shared subspace of dimension s, so pairs meet
-    # in dimension >= 2k - s: all intersection dimensions get exercised,
-    # including equal words.  k ranges over 1..n-1, covering k = 1,
-    # k = n - 1, k = n - k and k > n - k.
+    # k ranges over 1..n-1, covering k = 1, k = n - 1, k = n - k and
+    # k > n - k, where the dispatcher scans the duals; with repeated words
+    # the duals collide in every dimension.  Since (A+B)^perp = A^perp n
+    # B^perp, both scans of the duals plus 2k - n give the table; the duals
+    # are scanned only while they are the smaller side, as their points
+    # grow as p^(n-k).
     k = data.draw(st.integers(1, n - 1), label="k")
-    s = data.draw(st.integers(k, n), label="s")
-    m = data.draw(st.integers(2, 8), label="m")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    shared = rng.integers(0, p, size=(s, n))
-    while reference_rank(shared, p) < s:
-        shared = rng.integers(0, p, size=(s, n))
-    words = []
-    while len(words) < m:
-        w = span(rng.integers(0, p, size=(k, s)) @ shared, p)
-        if len(w) == k:
-            words.append(w)
-    got = pairwise_intersection_dims(np.stack(words), p)
-    assert got.dtype == np.min_scalar_type(k)
-    assert got.tolist() == reference_intersection_dims(words, p)
+    words = draw_words(data, p, n, k, repeats=True)
+    bases = np.stack(words)
+    got, reduction = pairwise_intersection_dims(bases, p), grassmann._reduction_scan(bases, p)
+    assert got.dtype == reduction.dtype == np.min_scalar_type(k)
+    assert got.tolist() == reduction.tolist() == reference_intersection_dims(words, p)
+    if 2 * k >= n:
+        duals = grassmann.dual_bases(bases, p)
+        for scan in (grassmann._point_scan, grassmann._reduction_scan):
+            assert (scan(duals, p).astype(int) + 2 * k - n).tolist() == got.tolist()
 
 
 @pytest.mark.parametrize("n, k, q", [(5, 2, 2), (5, 3, 2), (4, 2, 3), (4, 3, 3), (6, 4, 2)])
@@ -527,23 +546,9 @@ def test_pairwise_intersection_histogram_over_full_grassmannian(n, k, q):
     data=st.data(),
 )
 def test_point_scan_matches_reduction_and_python_int_reference(p, n, data):
-    # Every k with 2k <= n, including k = 1.  Words are drawn inside a
-    # shared subspace of dimension s, so pairs meet in every dimension, and
-    # some words are repeated, so pairs with t = k occur.
+    # Every k with 2k <= n, including k = 1, with repeated words.
     k = data.draw(st.integers(1, n // 2), label="k")
-    s = data.draw(st.integers(k, n), label="s")
-    m = data.draw(st.integers(2, 8), label="m")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    shared = rng.integers(0, p, size=(s, n))
-    while reference_rank(shared, p) < s:
-        shared = rng.integers(0, p, size=(s, n))
-    words = []
-    while len(words) < m:
-        w = span(rng.integers(0, p, size=(k, s)) @ shared, p)
-        if len(w) == k:
-            words.append(w)
-    repeats = data.draw(st.lists(st.integers(0, m - 1), max_size=3), label="repeats")
-    words += [words[i] for i in repeats]
+    words = draw_words(data, p, n, k, repeats=True)
     bases = np.stack(words)
     points, reduction = grassmann._point_scan(bases, p), grassmann._reduction_scan(bases, p)
     assert points.dtype == reduction.dtype == np.min_scalar_type(k)
@@ -586,19 +591,37 @@ def test_point_scan_counts_dense_collisions_in_small_batches(monkeypatch):
     assert np.array_equal(dims, grassmann._reduction_scan(bases, p))
 
 
-@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (7, 1), (2, 3)])
-def test_lifted_codes_take_the_point_scan_and_their_duals_the_reduction(monkeypatch, p, r):
+def record_scans(monkeypatch):
+    """Patch both scans and batch_rank to record their calls by name."""
     calls = []
-    for name in ("_point_scan", "_reduction_scan"):
-        scan = getattr(grassmann, name)
+    for name in ("_point_scan", "_reduction_scan", "batch_rank"):
+        fn = getattr(grassmann, name)
         monkeypatch.setattr(grassmann, name,
-                            lambda *a, name=name, scan=scan: calls.append(name) or scan(*a))
+                            lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
+    return calls
+
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (7, 1), (2, 3)])
+def test_lifted_codes_and_their_duals_take_the_point_scan(monkeypatch, p, r):
+    calls = record_scans(monkeypatch)
     code = anticode_optimal_code(p, r)
     assert calls == ["_point_scan"]
-    # The duals have dimension 2r > n/2, except at r = 1, where they are
-    # planes of GF(p)^4 again.
+    # The duals have dimension 2r >= n/2: at r >= 2 their own duals, the
+    # lifted words, are scanned, and at r = 1 they are planes of GF(p)^4
+    # again.  No pair is ranked.
     dual_code(code)
-    assert calls == ["_point_scan", "_point_scan" if r == 1 else "_reduction_scan"]
+    assert calls == ["_point_scan", "_point_scan"]
+
+
+def test_smallest_code_and_its_dual_take_the_reduction(monkeypatch):
+    # (2,1) has M = 5 planes of GF(2)^4, whose 15 points outnumber the 10
+    # pairs; the duals are planes of GF(2)^4 again.
+    calls = record_scans(monkeypatch)
+    code = anticode_optimal_code(2, 1)
+    dual_code(code)
+    scans = [c for c in calls if c != "batch_rank"]
+    assert scans == ["_reduction_scan", "_reduction_scan"]
+    assert calls.count("batch_rank") == 2 * (code.M - 1)
 
 
 def test_grassmannian_code_round_trip():
