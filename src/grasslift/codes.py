@@ -16,10 +16,13 @@ and the isometry report take the block map of length-2 vectors on a
 coefficient array and read Hamming and Bachoc weights off the array and one
 batch_rank of the images.
 
-The rank scans send stacks of at most CHUNK words to matfp.batch_rank.  The
-image of (GF(p^2))^r streams as a product of per-coordinate 2 x 2 blocks: a
-table of the trailing coordinates' images behind a few leading blocks.  The
-exhaustive pair scan takes each word against all later ones.
+A code built as linear is certified linear (one rank of its flattened
+words), so the distance of a linear code above the pair guard is its least
+nonzero word rank; under the guard the exhaustive pair scan takes each word
+against all later ones and must agree with it.  The rank scans send stacks of
+at most CHUNK words to matfp.batch_rank.  The image of (GF(p^2))^r streams as
+a product of per-coordinate 2 x 2 blocks: a table of the trailing
+coordinates' images behind a few leading blocks.
 
 A scan of more than CHUNK stacks runs as up to WORKERS contiguous parts (of
 leading blocks, word rows or sampled pairs), one per core this process may
@@ -34,7 +37,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from functools import partial
 
 import numpy as np
 
@@ -149,10 +151,10 @@ class RankMetricCode:
     """A finite set of equal-shape matrices over GF(p) under the rank distance.
 
     ``words`` is one read-only (M, k, l) int64 array of residues mod ``p``,
-    checked here: distinct words and, for a linear code, the zero word.
-    ``linear`` marks codes that are GF(p)-subspaces; for those the dimension
-    ``rho`` satisfies M = p^rho.  The minimum distance is computed on demand
-    by :func:`min_rank_distance` and cached, as are the word ranks.
+    checked here: distinct words and, for a linear code, the zero word,
+    M = p^rho and a GF(p)-subspace, certified by one rank of the flattened
+    words.  The minimum distance is computed on demand by
+    :func:`min_rank_distance` and cached, as are the word ranks.
     """
 
     def __init__(self, words, p: int, linear: bool = False, rho: int | None = None):
@@ -173,6 +175,11 @@ class RankMetricCode:
                 raise ValueError(
                     f"linear code size {len(words)} is not a power of p={p}"
                 )
+            # The M = p^rho distinct words lie in their span of p^rank words,
+            # so they are that span exactly when rank = rho.
+            if batch_rank(words.reshape(1, len(words), -1), p)[0] != rho:
+                raise ValueError("a linear code must be closed under addition "
+                                 "and scalar multiples")
         words.setflags(write=False)
         self.words, self.p = words, int(p)
         self.nrows, self.ncols = words.shape[1:]
@@ -283,17 +290,6 @@ def _min_rank(diffs, p: int) -> int | None:
                default=None)
 
 
-def _sampled_min_rank(words, ii: np.ndarray, jj: np.ndarray, p: int, chunk: int) -> int:
-    """Minimum rank of words(ii) - words(jj) over nonempty pair arrays, in
-    parts of slices and ``chunk`` pairs at a time; words(idx) is a stack."""
-    def part(start, stop):
-        a, b = ii[start:stop], jj[start:stop]
-        return _min_rank((words(a[s:s + chunk]) - words(b[s:s + chunk])
-                          for s in range(0, a.size, chunk)), p)
-
-    return min(_run_parts(part, np.arange(ii.size + 1), chunk))
-
-
 def _pairs_before(i, m: int):
     """Pairs held by word rows 0, ..., i - 1 of an m-word pair scan, where
     row i' holds the m - 1 - i' pairs (i', j) with j > i'."""
@@ -323,58 +319,41 @@ def _all_pair_diffs(arr: np.ndarray, chunk: int, rows: tuple[int, int] | None = 
 
 
 def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
-                      sample_pairs: int = DEFAULT_SAMPLE_PAIRS, seed: int = 0) -> int:
+                      seed: int = 0) -> int:
     """Minimum rank of A - B over distinct word pairs.
 
     Under ``pair_guard`` the scan is exhaustive, and for linear codes the
     result is cross-checked against the minimum nonzero word rank (they must
-    agree).  Above the guard a linear code falls back to the full nonzero
-    rank scan plus a seeded random pair sample that must be consistent with
-    it; non-linear codes above the guard are refused.
+    agree).  Above the guard a linear code's distance is that minimum
+    nonzero rank, exactly, since the constructor certified its linearity;
+    non-linear codes above the guard are refused.  ``seed`` is accepted for
+    existing callers and does nothing.
     """
     m = len(code.words)
     if m < 2:
         raise ValueError("minimum distance needs at least two words")
-    arr = code.words
-    p = code.p
     npairs = m * (m - 1) // 2
-    # A linear code holds zero and m >= 2 distinct words, so some are nonzero.
-    ranks = _word_ranks(code) if code.linear else None
-    omega = int(ranks[ranks > 0].min()) if code.linear else None
-    if npairs <= pair_guard:
-        def part(start, stop):
-            return _min_rank(_all_pair_diffs(arr, CHUNK, (start, stop)), p)
-
-        d = min(_run_parts(part, _pairs_before(np.arange(m), m), CHUNK))
-        if code.linear and d != omega:
-            raise RuntimeError(
-                f"pairwise minimum {d} != minimum nonzero rank {omega} "
-                "for a linear code"
+    if npairs > pair_guard:
+        if not code.linear:
+            raise ValueError(
+                f"{npairs} pairs exceed the guard ({pair_guard}) and the code is "
+                "not linear; raise the guard to force the scan"
             )
-        code._delta = d
-        return d
-    if not code.linear:
-        raise ValueError(
-            f"{npairs} pairs exceed the guard ({pair_guard}) and the code is "
-            "not linear; raise the guard to force the scan"
-        )
-    if sample_pairs < 0:
-        raise ValueError(f"sample_pairs must be >= 0, got {sample_pairs}")
-    rng = np.random.default_rng(seed)
-    ii = rng.integers(0, m, size=sample_pairs)
-    jj = rng.integers(0, m, size=sample_pairs)
-    keep = ii != jj
-    # Pin one pair that realizes the minimum: the first word of smallest
-    # nonzero rank against the zero word (the only word of rank 0).
-    ii = np.append(ii[keep], np.flatnonzero(ranks == omega)[0])
-    jj = np.append(jj[keep], np.flatnonzero(ranks == 0)[0])
-    sampled = _sampled_min_rank(arr.__getitem__, ii, jj, p, CHUNK)
-    if sampled != omega:
+        # A linear code holds zero and m >= 2 distinct words, so some are nonzero.
+        code._delta = min_nonzero_rank(code)
+        return code._delta
+
+    def part(start, stop):
+        return _min_rank(_all_pair_diffs(code.words, CHUNK, (start, stop)), code.p)
+
+    d = min(_run_parts(part, _pairs_before(np.arange(m), m), CHUNK))
+    omega = min_nonzero_rank(code) if code.linear else d
+    if d != omega:
         raise RuntimeError(
-            f"sampled pairwise minimum {sampled} != minimum nonzero rank {omega}"
+            f"pairwise minimum {d} != minimum nonzero rank {omega} for a linear code"
         )
-    code._delta = omega
-    return omega
+    code._delta = d
+    return d
 
 
 def singleton_max_dim(k: int, l: int, delta: int) -> int:
@@ -384,12 +363,11 @@ def singleton_max_dim(k: int, l: int, delta: int) -> int:
     return min(k * (l - delta + 1), l * (k - delta + 1))
 
 
-def is_mrd(code: RankMetricCode, **kwargs) -> bool:
+def is_mrd(code: RankMetricCode) -> bool:
     """True iff a linear code attains the Singleton bound exactly."""
     if not code.linear:
         raise ValueError("the MRD property is defined for linear codes")
-    delta = code._delta if code._delta is not None else min_rank_distance(code, **kwargs)
-    return code.rho == singleton_max_dim(code.nrows, code.ncols, delta)
+    return code.rho == singleton_max_dim(code.nrows, code.ncols, code.delta)
 
 
 def build_image_code(p: int, r: int, variant: str = "O",
@@ -499,8 +477,15 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     if not keep.any():
         raise ValueError(f"no distinct pair among the n_pairs={n_pairs} drawn; "
                          "raise n_pairs")
-    images = partial(_image_batch, p=p, length=r, variant=variant)
-    return _sampled_min_rank(images, ia[keep], ib[keep], p, chunk or CHUNK)
+    ia, ib, chunk = ia[keep], ib[keep], chunk or CHUNK
+
+    def part(start, stop):
+        a, b = ia[start:stop], ib[start:stop]
+        return _min_rank((_image_batch(a[s:s + chunk], p, r, variant)
+                          - _image_batch(b[s:s + chunk], p, r, variant)
+                          for s in range(0, a.size, chunk)), p)
+
+    return min(_run_parts(part, np.arange(ia.size + 1), chunk))
 
 
 def _weight_scan(p: int, count: int):

@@ -81,6 +81,16 @@ def reference_pair_min_rank(mats, p):
     )
 
 
+def reference_is_linear(words, p):
+    """True iff equal-shape matrices over GF(p) form a GF(p)-subspace: some
+    word exists, and every sum a + b and every multiple c * a of words is a
+    word.  Words are compared as flat tuples of Python ints."""
+    flat = {tuple(int(x) % p for x in np.ravel(w)) for w in words}
+    return bool(flat) and all(
+        tuple((x + y) % p for x, y in zip(a, b)) in flat for a in flat for b in flat
+    ) and all(tuple(c * x % p for x in a) in flat for a in flat for c in range(p))
+
+
 def reference_points(basis, p):
     """The p^k points of the row space of a k x n basis over GF(p), as a set
     of tuples of Python ints (desk-scale only)."""

@@ -40,6 +40,7 @@ from oracles import (
     ext_zero,
     hamming_weight,
     matrix_image,
+    reference_is_linear,
     reference_pair_min_rank,
     reference_rank,
     reference_rank_histogram,
@@ -300,15 +301,14 @@ def test_min_rank_distance_equals_min_nonzero_rank_for_linear_codes():
         assert min_rank_distance(code) == min_nonzero_rank(code)
 
 
-def test_min_rank_distance_sampled_path_matches_exhaustive():
+def test_min_rank_distance_above_guard_matches_exhaustive():
     code = build_image_code(3, 2, "O")  # 81 words, 3240 pairs
     exhaustive = min_rank_distance(code)
     code._delta = None
-    sampled = min_rank_distance(code, pair_guard=10, sample_pairs=500, seed=1)
-    assert sampled == exhaustive
+    assert min_rank_distance(code, pair_guard=10) == exhaustive
 
 
-def test_sampled_distance_ranks_words_once_and_pins_the_zero_word(monkeypatch):
+def test_above_guard_distance_ranks_words_once(monkeypatch):
     words = list(build_image_code(3, 2, "E").words)
     words.append(words.pop(0))  # the zero word last
     code = RankMetricCode(words, 3, linear=True)
@@ -320,9 +320,8 @@ def test_sampled_distance_ranks_words_once_and_pins_the_zero_word(monkeypatch):
         return original(mats, p)
 
     monkeypatch.setattr(codes, "batch_rank", counted)
-    # With no sampled pair, the pinned pair alone must realize the minimum.
-    assert min_rank_distance(code, pair_guard=10, sample_pairs=0) == 2
-    assert stacks == [81, 1]
+    assert min_rank_distance(code, pair_guard=10) == 2
+    assert stacks == [81]
 
 
 def test_min_rank_distance_guard_for_non_linear():
@@ -470,8 +469,38 @@ def test_rank_metric_code_validation():
         RankMetricCode([eye], 2, linear=True)
     with pytest.raises(ValueError, match="power of p"):
         RankMetricCode([zero, eye, [[1, 1], [0, 1]]], 2, linear=True)
+    # I + [[1, 1], [0, 1]] = E_12 is missing: four words, not a subspace.
+    with pytest.raises(ValueError, match="closed under addition"):
+        RankMetricCode([zero, eye, [[1, 1], [0, 1]], [[0, 1], [1, 1]]], 2, linear=True)
+    with pytest.raises(ValueError, match="closed under addition"):
+        RankMetricCode(false_linear_words(), 3, linear=True)
     with pytest.raises(ValueError, match="share one shape"):
         RankMetricCode([zero, [[0, 0, 0, 0], [0, 0, 0, 0]]], 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3]), k=st.integers(1, 3), l=st.integers(1, 3), data=st.data())
+def test_linearity_certificate_matches_closure_oracle(p, k, l, data):
+    """A span of random generators, or that span with one word swapped for a
+    vector outside it, is accepted as linear exactly when the oracle finds
+    it closed under sums and scalar multiples."""
+    vector = st.lists(st.integers(0, p - 1), min_size=k * l, max_size=k * l)
+    gens = data.draw(st.lists(vector, max_size=3))
+    span = sorted({tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % p for i in range(k * l))
+                   for coeffs in itertools.product(range(p), repeat=len(gens))})
+    words = [list(w) for w in span]
+    outside = tuple(data.draw(vector))
+    if data.draw(st.booleans()) and outside not in span:
+        words[data.draw(st.integers(0, len(words) - 1))] = list(outside)
+    words = np.array(words).reshape(-1, k, l)
+    try:
+        code = RankMetricCode(words, p, linear=True)
+    except ValueError:
+        assert not reference_is_linear(words, p)
+    else:
+        assert reference_is_linear(words, p)
+        assert p ** code.rho == len(words)
+        assert code.rho == reference_rank(words.reshape(len(words), -1), p)
 
 
 def test_rank_metric_code_round_trip():
@@ -605,14 +634,14 @@ def test_split_gives_contiguous_covering_parts(weights, workers, chunk):
         assert len(parts) == 1
 
 
-def false_linear_code():
+def false_linear_words():
     """The (3, 2) O image with its last word replaced by words[-2] + E_11:
-    still 81 words of rank <= 2 with the zero word, but the last pair, in the
-    last row of the pair scan, has rank 1."""
+    still 81 words of rank <= 2 with the zero word, but not a subspace, and
+    the last pair, in the last row of the pair scan, has rank 1."""
     words = build_image_code(3, 2, "O").words.copy()
     words[-1] = words[-2]
     words[-1, 0, 0] = (words[-1, 0, 0] + 1) % 3
-    return RankMetricCode(words, 3, linear=True)
+    return words
 
 
 def scan_results():
@@ -630,11 +659,9 @@ def scan_results():
     three = [[[0, 0], [0, 0]], [[1, 0], [0, 1]], [[2, 0], [0, 2]]]
     for words in (three, build_image_code(3, 2, "E").words):
         out[("exhaustive", len(words))] = min_rank_distance(RankMetricCode(words, 3))
-        out[("sampled", len(words))] = min_rank_distance(
-            RankMetricCode(words, 3, linear=True), pair_guard=1, sample_pairs=200, seed=2)
-    with pytest.raises(RuntimeError) as err:
-        min_rank_distance(false_linear_code())
-    out["false linear"] = str(err.value)
+        out[("above guard", len(words))] = min_rank_distance(
+            RankMetricCode(words, 3, linear=True), pair_guard=1)
+    out["false linear"] = min_rank_distance(RankMetricCode(false_linear_words(), 3))
     return out
 
 
@@ -644,8 +671,7 @@ def test_scans_are_independent_of_the_split(monkeypatch, workers, chunk):
     monkeypatch.setattr(codes, "WORKERS", 1)
     expected = scan_results()
     assert expected["sample p=5"] == 1
-    assert expected["false linear"] == ("pairwise minimum 1 != minimum nonzero rank 2 "
-                                        "for a linear code")
+    assert expected["false linear"] == 1
     monkeypatch.setattr(codes, "WORKERS", workers)
     monkeypatch.setattr(codes, "CHUNK", chunk)
     assert scan_results() == expected
@@ -682,8 +708,3 @@ def test_sample_image_pair_min_rank_refuses_degenerate_samples():
     with pytest.raises(ValueError, match="n_pairs"):
         sample_image_pair_min_rank(2, 1, "O", n_pairs=1, seed=10)
     assert sample_image_pair_min_rank(2, 1, "O", n_pairs=1, seed=0) == 2
-    # min_rank_distance always adds its pinned pair, so 0 sampled pairs is valid.
-    code = build_image_code(2, 1, "O")
-    with pytest.raises(ValueError, match="sample_pairs"):
-        min_rank_distance(code, pair_guard=1, sample_pairs=-1)
-    assert min_rank_distance(code, pair_guard=1, sample_pairs=0) == 2
