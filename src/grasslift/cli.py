@@ -20,7 +20,6 @@ import numpy as np
 from .codes import (
     PAIR_GUARD,
     RankMetricCode,
-    min_nonzero_rank,
     min_rank_distance,
     singleton_max_dim,
     weight_table_csv,
@@ -236,8 +235,6 @@ def _verify_matrix(code: RankMetricCode, checks, guard, report: RunReport):
         if check == "mrd":
             bound = singleton_max_dim(code.nrows, code.ncols, delta)
             report.add("mrd (dimension = Singleton bound)", bound, code.rho)
-        elif code.linear:
-            report.add("distance = min nonzero rank", min_nonzero_rank(code), delta)
         else:
             report.add("distance", delta, delta)
 

@@ -17,26 +17,26 @@ coefficient array and read Hamming and Bachoc weights off the array and one
 batch_rank of the images.
 
 A code built as linear is certified linear (one rank of its flattened
-words), so the distance of a linear code above the pair guard is its least
-nonzero word rank; under the guard the exhaustive pair scan takes each word
-against all later ones and must agree with it.  The rank scans send stacks of
-at most CHUNK words to matfp.batch_rank.  The image of (GF(p^2))^r streams as
-a product of per-coordinate 2 x 2 blocks: a table of the trailing
-coordinates' images behind a few leading blocks.
+words), so its minimum distance is its least nonzero word rank at any size.
+A code not known to be linear takes the exhaustive pair scan, each word
+against all later ones, under the pair guard and is refused above it.  The
+rank scans send stacks of at most CHUNK words to matfp.batch_rank.  The image
+of (GF(p^2))^r streams as a product of per-coordinate 2 x 2 blocks: a table
+of the trailing coordinates' images behind a few leading blocks.
 
-A scan of more than CHUNK stacks runs as up to WORKERS contiguous parts (of
-leading blocks, word rows or sampled pairs), one per core this process may
-use: the calling thread runs the first part and one thread runs each other,
-each with its own reused buffer; numpy releases the GIL inside batch_rank.
-Histograms add and minima take the min, so every result is exact and
-independent of the split.
+The streamed histogram and the sampled pair scan, when they take more than
+CHUNK stacks, run as up to WORKERS contiguous parts (of leading blocks or
+sampled pairs), one per core this process may use: the calling thread runs
+the first part and a pool thread runs each other; numpy releases the GIL
+inside batch_rank.  Histograms add and minima take the min, so every result
+is exact and independent of the split.  The pair scan runs in the calling
+thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
 
 import numpy as np
 
@@ -256,31 +256,19 @@ def _split(cum: np.ndarray, chunk: int) -> list[tuple[int, int]]:
 
 def _run_parts(fn, cum: np.ndarray, chunk: int) -> list:
     """[fn(start, stop) for each part of _split(cum, chunk)]: the calling
-    thread runs the first part and one thread runs each other.  Every thread
-    is joined before this returns, and the first part's exception (in part
-    order) is raised here."""
-    parts = _split(cum, chunk)
-    results, errors = [None] * len(parts), [None] * len(parts)
+    thread runs the first part and a pool thread runs each other.  Every
+    worker is joined before this returns, and the first part's exception (in
+    part order) is raised here."""
+    first, *rest = _split(cum, chunk)
+    if not rest:
+        return [fn(*first)]
+    # Imported here: concurrent.futures imports logging (about 0.6 MiB of
+    # resident memory), which only a split scan needs.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(k):
-        try:
-            results[k] = fn(*parts[k])
-        except BaseException as exc:
-            errors[k] = exc
-
-    threads = []
-    try:
-        for k in range(1, len(parts)):
-            threads.append(threading.Thread(target=run, args=(k,)))
-            threads[-1].start()
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    with ThreadPoolExecutor(len(rest)) as pool:
+        futures = [pool.submit(fn, *part) for part in rest]
+        return [fn(*first)] + [f.result() for f in futures]
 
 
 def _min_rank(diffs, p: int) -> int | None:
@@ -290,70 +278,34 @@ def _min_rank(diffs, p: int) -> int | None:
                default=None)
 
 
-def _pairs_before(i, m: int):
-    """Pairs held by word rows 0, ..., i - 1 of an m-word pair scan, where
-    row i' holds the m - 1 - i' pairs (i', j) with j > i'."""
-    return i * (m - 1) - i * (i - 1) // 2
-
-
-def _all_pair_diffs(arr: np.ndarray, chunk: int, rows: tuple[int, int] | None = None):
-    """arr[j] - arr[i] for every i < j with i in ``rows`` (default: all),
-    i-major, in one reused buffer of ``chunk`` stacks; a row of pairs that
-    does not fit continues in the next."""
-    m = len(arr)
-    start, stop = rows or (0, m - 1)
-    npairs = _pairs_before(stop, m) - _pairs_before(start, m)
-    buf = np.empty((min(chunk, npairs),) + arr.shape[1:], dtype=np.int64)
-    fill = 0
-    for i in range(start, stop):
-        j = i + 1
-        while j < m:
-            n = min(m - j, len(buf) - fill)
-            np.subtract(arr[j:j + n], arr[i], out=buf[fill:fill + n])
-            fill, j = fill + n, j + n
-            if fill == len(buf):
-                yield buf
-                fill = 0
-    if fill:
-        yield buf[:fill]
-
-
 def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
                       seed: int = 0) -> int:
     """Minimum rank of A - B over distinct word pairs.
 
-    Under ``pair_guard`` the scan is exhaustive, and for linear codes the
-    result is cross-checked against the minimum nonzero word rank (they must
-    agree).  Above the guard a linear code's distance is that minimum
-    nonzero rank, exactly, since the constructor certified its linearity;
-    non-linear codes above the guard are refused.  ``seed`` is accepted for
-    existing callers and does nothing.
+    A linear code's distance is its least nonzero word rank at any size,
+    exactly, since the constructor certified that its words form a subspace.
+    A non-linear code takes the exhaustive pair scan, each word against all
+    later words, CHUNK differences per batch_rank, and is refused when its
+    pairs exceed ``pair_guard``.  ``seed`` is accepted for existing callers
+    and does nothing.
     """
     m = len(code.words)
     if m < 2:
         raise ValueError("minimum distance needs at least two words")
-    npairs = m * (m - 1) // 2
-    if npairs > pair_guard:
-        if not code.linear:
-            raise ValueError(
-                f"{npairs} pairs exceed the guard ({pair_guard}) and the code is "
-                "not linear; raise the guard to force the scan"
-            )
+    if code.linear:
         # A linear code holds zero and m >= 2 distinct words, so some are nonzero.
         code._delta = min_nonzero_rank(code)
         return code._delta
-
-    def part(start, stop):
-        return _min_rank(_all_pair_diffs(code.words, CHUNK, (start, stop)), code.p)
-
-    d = min(_run_parts(part, _pairs_before(np.arange(m), m), CHUNK))
-    omega = min_nonzero_rank(code) if code.linear else d
-    if d != omega:
-        raise RuntimeError(
-            f"pairwise minimum {d} != minimum nonzero rank {omega} for a linear code"
+    npairs = m * (m - 1) // 2
+    if npairs > pair_guard:
+        raise ValueError(
+            f"{npairs} pairs exceed the guard ({pair_guard}) and the code is "
+            "not linear; raise the guard to force the scan"
         )
-    code._delta = d
-    return d
+    words = code.words
+    code._delta = _min_rank((words[j:j + CHUNK] - words[i] for i in range(m - 1)
+                             for j in range(i + 1, m, CHUNK)), code.p)
+    return code._delta
 
 
 def singleton_max_dim(k: int, l: int, delta: int) -> int:
@@ -370,8 +322,7 @@ def is_mrd(code: RankMetricCode) -> bool:
     return code.rho == singleton_max_dim(code.nrows, code.ncols, code.delta)
 
 
-def build_image_code(p: int, r: int, variant: str = "O",
-                     max_words: int | None = WORD_GUARD) -> RankMetricCode:
+def build_image_code(p: int, r: int, variant: str = "O") -> RankMetricCode:
     """The linear [2 x 2r, 2r, 2] rank-metric code {image(v) : v in (GF(p^2))^r}.
 
     Requires a prime p with p % 5 in {2, 3}; for other p the image is not a
@@ -383,10 +334,10 @@ def build_image_code(p: int, r: int, variant: str = "O",
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     n_words = p ** (2 * r)
-    if max_words is not None and n_words > max_words:
+    if n_words > WORD_GUARD:
         raise ValueError(
-            f"{n_words} words exceed the materialization guard ({max_words}); "
-            "use the streaming scans (image_rank_counts) or pass max_words=None"
+            f"{n_words} words exceed the materialization guard ({WORD_GUARD}); "
+            "use the streaming scans (image_rank_counts)"
         )
     words = np.stack([variant_image(v, variant).array for v in enumerate_ext_vectors(p, r)])
     return RankMetricCode(words, p, linear=True, rho=2 * r)
@@ -443,12 +394,11 @@ def _image_chunks(p: int, r: int, variant: str, chunk: int,
         yield buf[:len(lead)].reshape(-1, 2, 2 * r)
 
 
-def image_rank_counts(p: int, r: int, variant: str = "O",
-                      chunk: int | None = None) -> dict[int, int]:
+def image_rank_counts(p: int, r: int, variant: str = "O") -> dict[int, int]:
     """Rank histogram {0: n0, 1: n1, 2: n2} of the variant image over all
-    p^(2r) vectors, streamed ``chunk`` (default CHUNK) words at a time so
-    nothing is materialized."""
-    chunk = chunk or CHUNK
+    p^(2r) vectors, streamed CHUNK words at a time so nothing is
+    materialized."""
+    chunk = CHUNK
     low = _table_coords(p, r, chunk)
 
     def part(start, stop):
@@ -464,7 +414,7 @@ def image_rank_counts(p: int, r: int, variant: str = "O",
 
 def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
                                n_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                               seed: int = 0, chunk: int | None = None) -> int:
+                               seed: int = 0) -> int:
     """Minimum rank of image(u) - image(v) over a seeded sample of distinct
     vector pairs (u, v); companion check for guard-excluded pairwise scans."""
     if n_pairs < 1:
@@ -477,7 +427,7 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     if not keep.any():
         raise ValueError(f"no distinct pair among the n_pairs={n_pairs} drawn; "
                          "raise n_pairs")
-    ia, ib, chunk = ia[keep], ib[keep], chunk or CHUNK
+    ia, ib, chunk = ia[keep], ib[keep], CHUNK
 
     def part(start, stop):
         a, b = ia[start:stop], ib[start:stop]

@@ -443,8 +443,6 @@ def dual_code(code: GrassmannianCode, pair_guard: int = PAIR_GUARD) -> Grassmann
             "claimed": claimed,
         },
     )
-    if out.M != code.M:
-        raise RuntimeError("duals collided; size not preserved")
     if out.M >= 2:
         d = min_subspace_distance(out, pair_guard)
         if code.d is not None and d != code.d:

@@ -148,9 +148,9 @@ def test_mrd_suite():
             code = materialized_image_code(p, r, variant)
             assert code.shape == (2, 2 * r)
             assert len(code) == n_words and code.rho == 2 * r
-            # exhaustive pairwise under the cap; otherwise the full nonzero-rank
-            # scan, exact because the code was certified linear when built, so
-            # every pair difference is itself a codeword
+            # the least nonzero word rank, exact because the code was
+            # certified linear when built, so every pair difference is itself
+            # a codeword
             delta = min_rank_distance(code, pair_guard=PAIR_CAP)
             assert delta == 2, (p, r, variant)
             assert n_pairs <= PAIR_CAP or min_nonzero_rank(code) == 2
@@ -295,7 +295,11 @@ def test_min_distance_consistency():
     )
     cases.append(raw_p5)
     for code in cases:
-        code._delta = None
-        d = min_rank_distance(code, pair_guard=PAIR_CAP)
-        assert d == min_nonzero_rank(code)
+        assert min_rank_distance(code) == min_nonzero_rank(code)
+        # The pairwise reference: the same words as a code not known to be
+        # linear, scanned pair by pair wherever the pairs fit under the cap.
+        m = len(code)
+        if m * (m - 1) // 2 <= PAIR_CAP:
+            d = min_rank_distance(RankMetricCode(code.words, code.p), pair_guard=PAIR_CAP)
+            assert d == min_nonzero_rank(code)
     assert min_rank_distance(raw_p5) == 1

@@ -184,6 +184,22 @@ def test_verify_matrix_code_reports_the_same_checks_on_both_distance_routes(runn
     assert checks[0] == checks[1] and len(checks[0]) == 2
 
 
+def test_verify_non_linear_matrix_code_scans_pairs_under_the_guard(runner, tmp_path):
+    # The (3, 2) O image without its zero word: 80 words, 3160 pairs.
+    words = [w for w in build_image_code(3, 2, "O").words.tolist() if any(map(any, w))]
+    path = tmp_path / "non_linear.json"
+    path.write_text(json.dumps({"p": 3, "k": 2, "l": 4, "linear": False, "words": words}))
+    # The mrd check needs a linear code, so only the distance is asked for.
+    result = runner.invoke(main, ["verify", str(path), "--checks", "distance"])
+    assert result.exit_code == 0
+    assert "check distance: claimed=2 computed=2 PASS" in result.output
+    refused = runner.invoke(main, ["verify", str(path), "--checks", "distance",
+                                   "--guard", "10"])
+    assert refused.exit_code == 2
+    assert "3160 pairs exceed the guard (10)" in refused.output
+    assert "Traceback" not in refused.output and "RESULT" not in refused.output
+
+
 @pytest.mark.parametrize("guard_args", [[], ["--guard", "1"]],
                          ids=["exhaustive", "sampled"])
 def test_verify_false_linearity_claim_fails_cleanly(runner, tmp_path, guard_args):
@@ -412,7 +428,7 @@ def test_matrix_verify_ranks_the_words_once(runner, tmp_path, monkeypatch, guard
     monkeypatch.setattr(codes, "batch_rank", counted)
     result = runner.invoke(main, ["verify", str(image_code_file(tmp_path, 3, 2)), *guard_args])
     assert result.exit_code == 0
-    assert "check distance = min nonzero rank: claimed=2 computed=2 PASS" in result.output
+    assert "check distance: claimed=2 computed=2 PASS" in result.output
     assert stacks.count(81) == 1
 
 

@@ -11,10 +11,8 @@ from grasslift.matfp import MatrixFp
 from grasslift.codes import (
     ExtVector,
     RankMetricCode,
-    _all_pair_diffs,
     _image_batch,
     _image_chunks,
-    _min_rank,
     _split,
     _table_coords,
     build_image_code,
@@ -303,12 +301,12 @@ def test_min_rank_distance_equals_min_nonzero_rank_for_linear_codes():
 
 def test_min_rank_distance_above_guard_matches_exhaustive():
     code = build_image_code(3, 2, "O")  # 81 words, 3240 pairs
-    exhaustive = min_rank_distance(code)
-    code._delta = None
-    assert min_rank_distance(code, pair_guard=10) == exhaustive
+    exhaustive = min_rank_distance(RankMetricCode(code.words, code.p))
+    assert min_rank_distance(code, pair_guard=10) == exhaustive == 2
 
 
-def test_above_guard_distance_ranks_words_once(monkeypatch):
+@pytest.mark.parametrize("guard", [{}, {"pair_guard": 10}], ids=["default", "above"])
+def test_above_guard_distance_ranks_words_once(monkeypatch, guard):
     words = list(build_image_code(3, 2, "E").words)
     words.append(words.pop(0))  # the zero word last
     code = RankMetricCode(words, 3, linear=True)
@@ -320,7 +318,7 @@ def test_above_guard_distance_ranks_words_once(monkeypatch):
         return original(mats, p)
 
     monkeypatch.setattr(codes, "batch_rank", counted)
-    assert min_rank_distance(code, pair_guard=10) == 2
+    assert min_rank_distance(code, **guard) == 2
     assert stacks == [81]
 
 
@@ -548,7 +546,7 @@ def chunk_layouts(p, r):
 
 @pytest.mark.parametrize("variant", ["O", "E"])
 @pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (7, 1), (7, 2)])
-def test_image_stream_matches_scalar_map_for_every_chunk_layout(p, r, variant):
+def test_image_stream_matches_scalar_map_for_every_chunk_layout(monkeypatch, p, r, variant):
     words = [variant_image(v, variant).to_lists() for v in enumerate_ext_vectors(p, r)]
     histogram = reference_rank_histogram(words, p)
     for chunk in chunk_layouts(p, r):
@@ -560,7 +558,8 @@ def test_image_stream_matches_scalar_map_for_every_chunk_layout(p, r, variant):
                       for m in _image_chunks(p, r, variant, chunk, leads)]
             assert all(0 < len(m) <= chunk for m in stacks), (chunk, parts)
             assert np.concatenate(stacks).tolist() == words, (chunk, parts)
-        assert image_rank_counts(p, r, variant, chunk=chunk) == histogram, chunk
+        monkeypatch.setattr(codes, "CHUNK", chunk)
+        assert image_rank_counts(p, r, variant) == histogram, chunk
 
 
 def distinct_words(p, shape, draw_entries):
@@ -576,39 +575,31 @@ def distinct_words(p, shape, draw_entries):
     ncols=st.integers(1, 4),
     entries=st.lists(st.lists(st.integers(0, 6), min_size=8, max_size=8),
                      min_size=2, max_size=14),
-    chunk=st.integers(1, 40),
-    cut=st.integers(0, 13),
+    chunk=st.integers(1, 5),
 )
-def test_pair_scan_matches_double_loop(p, ncols, entries, chunk, cut):
-    arr = distinct_words(p, (2, ncols), [e[:2 * ncols] for e in entries])
-    m = len(arr)
-    if m < 2:
+def test_pair_scan_matches_double_loop(p, ncols, entries, chunk):
+    words = distinct_words(p, (2, ncols), [e[:2 * ncols] for e in entries]).tolist()
+    if len(words) < 2:
         return
-    expected = [arr[j] - arr[i] for i in range(m) for j in range(i + 1, m)]
-    # Whole, and as two parts of word rows split at ``cut``.
-    cut = min(cut, m - 1)
-    for parts in ([None], [(0, cut), (cut, m - 1)]):
-        stacks = [d.copy() for rows in parts for d in _all_pair_diffs(arr, chunk, rows)]
-        assert all(0 < len(d) <= chunk for d in stacks)
-        np.testing.assert_array_equal(np.concatenate(stacks), expected)
-    words = arr.tolist()
-    assert _min_rank(_all_pair_diffs(arr, chunk), p) == reference_pair_min_rank(words, p)
-    code = RankMetricCode(words, p)
-    assert min_rank_distance(code) == reference_pair_min_rank(words, p)
+    # With up to 13 later words and CHUNK <= 5, a word's later words span
+    # several batches.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "CHUNK", chunk)
+        assert min_rank_distance(RankMetricCode(words, p)) == reference_pair_min_rank(words, p)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 4, 5, 100])
-def test_pair_scan_non_linear_codes_of_distance_one_and_two(chunk):
+def test_pair_scan_non_linear_codes_of_distance_one_and_two(monkeypatch, chunk):
     # Distance 1: B - A = [[-1, 1], [0, 0]] has rank 1, and its entries sum
     # to 0, so an unreduced difference would read as rank 0.
     one = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 1], [1, 0]]]
     # Distance 2: the eight nonzero words of the (3, 1) O image (no zero word,
-    # so not linear); their first row of 7 pairs crosses the chunks above.
+    # so not linear); the first word's 7 later words cross the chunks above.
     two = [w.tolist() for w in build_image_code(3, 1, "O").words if w.any()]
+    monkeypatch.setattr(codes, "CHUNK", chunk)
     for words, p, d in ((one, 3, 1), (two, 3, 2)):
         assert reference_pair_min_rank(words, p) == d
-        arr = np.array(words, dtype=np.int64)
-        assert _min_rank(_all_pair_diffs(arr, chunk), p) == d
+        assert min_rank_distance(RankMetricCode(words, p)) == d
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +671,8 @@ def test_scans_are_independent_of_the_split(monkeypatch, workers, chunk):
 @pytest.mark.parametrize("raising", ["helper", "caller"])
 @pytest.mark.parametrize("scan", [
     lambda: image_rank_counts(3, 2, "O"),
-    lambda: min_rank_distance(build_image_code(3, 2, "O")),
-], ids=["stream", "pairs"])
+    lambda: sample_image_pair_min_rank(3, 2, "E", 300, seed=5),
+], ids=["stream", "sample"])
 def test_part_errors_reach_the_caller(monkeypatch, scan, raising):
     monkeypatch.setattr(codes, "WORKERS", 3)
     monkeypatch.setattr(codes, "CHUNK", 7)
