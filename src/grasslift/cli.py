@@ -253,7 +253,9 @@ def cmd_verify(code_path, checks, guard, seed):
     started = time.perf_counter()
     kind, code = _load_code_file(code_path)
     if checks is None:
-        selected = GRASSMANN_CHECKS if kind == "grassmann" else MATRIX_CHECKS
+        # The mrd check is defined for linear codes only.
+        selected = (GRASSMANN_CHECKS if kind == "grassmann"
+                    else MATRIX_CHECKS if code.linear else ("distance",))
     else:
         selected = tuple(c.strip() for c in checks.split(",") if c.strip())
         unknown = [c for c in selected if c not in ALL_CHECKS]

@@ -20,17 +20,16 @@ A code built as linear is certified linear (one rank of its flattened
 words), so its minimum distance is its least nonzero word rank at any size.
 A code not known to be linear takes the exhaustive pair scan, each word
 against all later ones, under the pair guard and is refused above it.  The
-rank scans send stacks of at most CHUNK words to matfp.batch_rank.  The image
-of (GF(p^2))^r streams as a product of per-coordinate 2 x 2 blocks: a table
-of the trailing coordinates' images behind a few leading blocks.
+rank scans send stacks of at most CHUNK words to matfp.batch_rank.  The rank
+histogram of the image of (GF(p^2))^r is counted exactly from its p^2
+single-coordinate blocks: a word's column space is the sum of its blocks'.
 
-The streamed histogram and the sampled pair scan, when they take more than
-CHUNK stacks, run as up to WORKERS contiguous parts (of leading blocks or
-sampled pairs), one per core this process may use: the calling thread runs
-the first part and a pool thread runs each other; numpy releases the GIL
-inside batch_rank.  Histograms add and minima take the min, so every result
-is exact and independent of the split.  The pair scan runs in the calling
-thread.
+The sampled image pair scan, when it takes more than CHUNK pairs, runs as up
+to WORKERS contiguous parts of the sample, one per core this process may
+use: the calling thread runs the first part and a pool thread runs each
+other; numpy releases the GIL inside batch_rank.  Minima take the min, so
+the result is exact and independent of the split.  The pair scan runs in
+the calling thread.
 """
 
 from __future__ import annotations
@@ -41,10 +40,11 @@ import os
 import numpy as np
 
 from .gf import ExtFieldElement, require_construction_prime
-from .matfp import MatrixFp, batch_rank, check_modulus, has_duplicates, int_array
+from .matfp import (MatrixFp, batch_rank, batch_rref, check_modulus, has_duplicates,
+                    int_array)
 
 # Materialization cap for explicit word lists and cap on exhaustive pairwise
-# scans; larger cases go through the streaming scans below, CHUNK at a time.
+# scans; larger images go through the histogram and the sampled pair scan.
 WORD_GUARD = 1 << 16
 PAIR_GUARD = 1 << 24
 DEFAULT_SAMPLE_PAIRS = 100_000
@@ -337,7 +337,7 @@ def build_image_code(p: int, r: int, variant: str = "O") -> RankMetricCode:
     if n_words > WORD_GUARD:
         raise ValueError(
             f"{n_words} words exceed the materialization guard ({WORD_GUARD}); "
-            "use the streaming scans (image_rank_counts)"
+            "use image_rank_counts and sample_image_pair_min_rank"
         )
     words = np.stack([variant_image(v, variant).array for v in enumerate_ext_vectors(p, r)])
     return RankMetricCode(words, p, linear=True, rho=2 * r)
@@ -368,48 +368,26 @@ def _image_batch(idx: np.ndarray, p: int, length: int, variant: str) -> np.ndarr
     return out
 
 
-def _table_coords(p: int, r: int, chunk: int) -> int:
-    """Trailing coordinates in the image stream's table: the most whose
-    images fit in a chunk."""
-    low = 0
-    while low < r and p ** (2 * low + 2) <= chunk:
-        low += 1
-    return low
-
-
-def _image_chunks(p: int, r: int, variant: str, chunk: int,
-                  leads: tuple[int, int] | None = None):
-    """The variant images of (GF(p^2))^r in enumerate_ext_vectors order, as
-    (B, 2, 2r) stacks of at most ``chunk`` words in one reused buffer; each
-    leading block index in ``leads`` (default: all) covers one table."""
-    low = _table_coords(p, r, chunk)
-    table = _image_batch(np.arange(p ** (2 * low)), p, low, variant)
-    first, stop = leads or (0, p ** (2 * (r - low)))
-    step = max(1, chunk // len(table))
-    buf = np.empty((min(step, stop - first), len(table), 2, 2 * r), dtype=np.int64)
-    buf[:, :, :, 2 * (r - low):] = table
-    for start in range(first, stop, step):
-        lead = _image_batch(np.arange(start, min(start + step, stop)), p, r - low, variant)
-        buf[:len(lead), :, :, :2 * (r - low)] = lead[:, None]
-        yield buf[:len(lead)].reshape(-1, 2, 2 * r)
-
-
 def image_rank_counts(p: int, r: int, variant: str = "O") -> dict[int, int]:
-    """Rank histogram {0: n0, 1: n1, 2: n2} of the variant image over all
-    p^(2r) vectors, streamed CHUNK words at a time so nothing is
-    materialized."""
-    chunk = CHUNK
-    low = _table_coords(p, r, chunk)
+    """Exact rank histogram {0: n0, 1: n1, 2: n2} of the variant image over
+    all p^(2r) vectors of (GF(p^2))^r, from the p^2 single-coordinate blocks.
 
-    def part(start, stop):
-        counts = np.zeros(3, dtype=np.int64)
-        for mats in _image_chunks(p, r, variant, chunk, (start, stop)):
-            counts += np.bincount(batch_rank(mats, p), minlength=3)
-        return counts
-
-    leads = np.arange(p ** (2 * (r - low)) + 1) * p ** (2 * low)
-    counts = sum(_run_parts(part, leads, chunk))
-    return {i: int(counts[i]) for i in range(3)}
+    A word's column space in GF(p)^2 is the sum of its blocks' column spaces.
+    With z zero blocks and n_l blocks spanning the line l, z^r words are zero
+    and (z + n_l)^r - z^r span l; every other word has rank 2.  Every block
+    is ranked, and the counts are Python ints, exact for every r.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    blocks = _image_batch(np.arange(p * p), p, 1, variant)
+    ranks = batch_rank(blocks, p)
+    # A rank-1 block's column space is the first row of its transpose's RREF.
+    lines = batch_rref(blocks[ranks == 1].transpose(0, 2, 1), p)[0][:, 0]
+    n_lines = np.unique(lines, axis=0, return_counts=True)[1].tolist()
+    z = int((ranks == 0).sum())
+    zero = z**r
+    one = sum((z + n) ** r - zero for n in n_lines)
+    return {0: zero, 1: one, 2: int(p) ** (2 * r) - zero - one}
 
 
 def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
@@ -417,6 +395,8 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
                                seed: int = 0) -> int:
     """Minimum rank of image(u) - image(v) over a seeded sample of distinct
     vector pairs (u, v); companion check for guard-excluded pairwise scans."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     total = p ** (2 * r)

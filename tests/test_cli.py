@@ -189,7 +189,6 @@ def test_verify_non_linear_matrix_code_scans_pairs_under_the_guard(runner, tmp_p
     words = [w for w in build_image_code(3, 2, "O").words.tolist() if any(map(any, w))]
     path = tmp_path / "non_linear.json"
     path.write_text(json.dumps({"p": 3, "k": 2, "l": 4, "linear": False, "words": words}))
-    # The mrd check needs a linear code, so only the distance is asked for.
     result = runner.invoke(main, ["verify", str(path), "--checks", "distance"])
     assert result.exit_code == 0
     assert "check distance: claimed=2 computed=2 PASS" in result.output
@@ -198,6 +197,22 @@ def test_verify_non_linear_matrix_code_scans_pairs_under_the_guard(runner, tmp_p
     assert refused.exit_code == 2
     assert "3160 pairs exceed the guard (10)" in refused.output
     assert "Traceback" not in refused.output and "RESULT" not in refused.output
+
+
+def test_verify_non_linear_matrix_code_defaults_to_the_distance_check(runner, tmp_path):
+    # The (3, 1) O image without its zero word: 8 words of rank 2, not linear.
+    words = [w for w in build_image_code(3, 1, "O").words.tolist() if any(map(any, w))]
+    path = tmp_path / "non_linear.json"
+    path.write_text(json.dumps({"p": 3, "k": 2, "l": 2, "linear": False, "words": words}))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 0
+    assert "checks=distance" in result.output
+    assert [line for line in result.output.splitlines() if line.startswith("check ")] == [
+        "check distance: claimed=2 computed=2 PASS"]
+    # Asked for explicitly, the mrd check is still refused.
+    refused = runner.invoke(main, ["verify", str(path), "--checks", "mrd"])
+    assert refused.exit_code == 2
+    assert "the mrd check needs a linear matrix code" in refused.output
 
 
 @pytest.mark.parametrize("guard_args", [[], ["--guard", "1"]],

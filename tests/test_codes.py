@@ -12,9 +12,7 @@ from grasslift.codes import (
     ExtVector,
     RankMetricCode,
     _image_batch,
-    _image_chunks,
     _split,
-    _table_coords,
     build_image_code,
     enumerate_ext_vectors,
     even_zero_image,
@@ -253,7 +251,7 @@ def test_image_code_p2_r2_all_nonzero_words_rank_2():
 @pytest.mark.parametrize("variant", ["O", "E"])
 @pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (3, 1), (3, 2), (7, 1), (7, 2), (13, 1)])
 def test_vectorized_image_map_matches_built_code_in_order(p, r, variant):
-    # The streaming scans image word i as _image_batch of index i;
+    # The image scans image word i as _image_batch of index i;
     # build_image_code's scalar map over enumerate_ext_vectors is the
     # oracle for both the words and their order.
     words = [MatrixFp(m, p) for m in _image_batch(np.arange(p ** (2 * r)), p, r, variant)]
@@ -529,37 +527,37 @@ def test_scan_counts_agree_with_materialized_ranks():
 
 
 # ---------------------------------------------------------------------------
-# scan generators: every chunk layout against Python-int references
+# image histograms against Python-int references
 # ---------------------------------------------------------------------------
 
-def chunk_layouts(p, r):
-    q = p * p
-    return sorted({
-        1,                  # one word per stack
-        q - 1,              # chunk < p^2: no table, every coordinate leads
-        q * (q - 1) + 1,    # not a multiple of the table: last stack partial
-        p ** (2 * r) - 1,   # one coordinate short of the whole image
-        p ** (2 * r),       # the table is the whole image: no leading blocks
-        1 << 16,
-    })
-
-
 @pytest.mark.parametrize("variant", ["O", "E"])
-@pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (7, 1), (7, 2)])
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (7, 1), (7, 2),
+                                  (5, 1), (5, 2), (11, 1), (11, 2)])
 def test_image_stream_matches_scalar_map_for_every_chunk_layout(monkeypatch, p, r, variant):
     words = [variant_image(v, variant).to_lists() for v in enumerate_ext_vectors(p, r)]
     histogram = reference_rank_histogram(words, p)
-    for chunk in chunk_layouts(p, r):
-        n_lead = p ** (2 * (r - _table_coords(p, r, chunk)))
-        # Whole, and as two parts of leading blocks; the stacks share one
-        # buffer, so each is copied before the next.
-        for parts in ([None], [(0, n_lead // 2), (n_lead // 2, n_lead)]):
-            stacks = [m.copy() for leads in parts
-                      for m in _image_chunks(p, r, variant, chunk, leads)]
-            assert all(0 < len(m) <= chunk for m in stacks), (chunk, parts)
-            assert np.concatenate(stacks).tolist() == words, (chunk, parts)
+    # Rank-1 words exist exactly off the construction primes, so p = 5 and
+    # p = 11 exercise every term of the count.
+    assert (histogram[1] > 0) == (p % 5 not in (2, 3))
+    # The histogram is counted from the p^2 coordinate blocks, so no batch
+    # size may change it.
+    for chunk in (1, p * p - 1, p ** (2 * r), 1 << 16):
         monkeypatch.setattr(codes, "CHUNK", chunk)
         assert image_rank_counts(p, r, variant) == histogram, chunk
+
+
+def test_image_rank_counts_are_exact_beyond_int64():
+    assert image_rank_counts(2, 40, "O") == {0: 1, 1: 0, 2: 2**80 - 1}
+
+
+@pytest.mark.parametrize("r", [0, -1])
+@pytest.mark.parametrize("scan", [
+    lambda r: image_rank_counts(3, r, "O"),
+    lambda r: sample_image_pair_min_rank(3, r, "O", 10),
+], ids=["counts", "sample"])
+def test_image_scans_refuse_r_below_one(scan, r):
+    with pytest.raises(ValueError, match=r"r must be >= 1"):
+        scan(r)
 
 
 def distinct_words(p, shape, draw_entries):
@@ -636,8 +634,8 @@ def false_linear_words():
 
 
 def scan_results():
-    """Every scan whose work is split into parts, on cases of one to many
-    parts (fewer leading blocks, rows or pairs than workers included)."""
+    """Every image and pair scan, on cases of one to many parts of the
+    sampled scan (fewer pairs than workers included)."""
     out = {}
     for p, r, variant in ((2, 1, "O"), (3, 1, "E"), (3, 2, "O"), (7, 1, "E")):
         out[("counts", p, r, variant)] = image_rank_counts(p, r, variant)
@@ -670,9 +668,8 @@ def test_scans_are_independent_of_the_split(monkeypatch, workers, chunk):
 
 @pytest.mark.parametrize("raising", ["helper", "caller"])
 @pytest.mark.parametrize("scan", [
-    lambda: image_rank_counts(3, 2, "O"),
     lambda: sample_image_pair_min_rank(3, 2, "E", 300, seed=5),
-], ids=["stream", "sample"])
+], ids=["sample"])
 def test_part_errors_reach_the_caller(monkeypatch, scan, raising):
     monkeypatch.setattr(codes, "WORKERS", 3)
     monkeypatch.setattr(codes, "CHUNK", 7)
