@@ -20,9 +20,11 @@ A code built as linear is certified linear (one rank of its flattened
 words), so its minimum distance is its least nonzero word rank at any size.
 A code not known to be linear takes the exhaustive pair scan, each word
 against all later ones, under the pair guard and is refused above it.  The
-rank scans send stacks of at most CHUNK words to matfp.batch_rank.  The rank
-histogram of the image of (GF(p^2))^r is counted exactly from its p^2
-single-coordinate blocks: a word's column space is the sum of its blocks'.
+rank scans send stacks of at most CHUNK words to matfp.batch_rank.  Both
+derived maps act one coordinate at a time, so every image word is gathered
+from a table of the p^2 single-coordinate blocks, imaged once per call.  The
+rank histogram of the image of (GF(p^2))^r is counted exactly from the same
+blocks: a word's column space is the sum of its blocks'.
 
 The sampled image pair scan, when it takes more than CHUNK pairs, runs as up
 to WORKERS contiguous parts of the sample, one per core this process may
@@ -323,7 +325,8 @@ def is_mrd(code: RankMetricCode) -> bool:
 
 
 def build_image_code(p: int, r: int, variant: str = "O") -> RankMetricCode:
-    """The linear [2 x 2r, 2r, 2] rank-metric code {image(v) : v in (GF(p^2))^r}.
+    """The linear [2 x 2r, 2r, 2] rank-metric code {image(v) : v in (GF(p^2))^r},
+    gathered from the p^2 single-coordinate blocks in enumerate_ext_vectors order.
 
     Requires a prime p with p % 5 in {2, 3}; for other p the image is not a
     rank-metric code with distance 2 (it contains nonzero rank-1 words).
@@ -339,33 +342,24 @@ def build_image_code(p: int, r: int, variant: str = "O") -> RankMetricCode:
             f"{n_words} words exceed the materialization guard ({WORD_GUARD}); "
             "use image_rank_counts and sample_image_pair_min_rank"
         )
-    words = np.stack([variant_image(v, variant).array for v in enumerate_ext_vectors(p, r)])
+    words = _image_batch(np.arange(n_words), _blocks(p, variant), r)
     return RankMetricCode(words, p, linear=True, rho=2 * r)
 
 
-def _image_batch(idx: np.ndarray, p: int, length: int, variant: str) -> np.ndarray:
+def _blocks(p: int, variant: str) -> np.ndarray:
+    """The (p^2, 2, 2) variant images of the single-coordinate vectors of
+    GF(p^2), in enumerate_ext_vectors order: the one image map, since every
+    image word is its coordinates' blocks side by side."""
+    return np.stack([variant_image(v, variant).array for v in enumerate_ext_vectors(p, 1)])
+
+
+def _image_batch(idx: np.ndarray, blocks: np.ndarray, length: int) -> np.ndarray:
     """Variant images of the vectors of (GF(p^2))^length with indices idx in
-    enumerate_ext_vectors order (mixed-radix coefficient digits, most
-    significant first): shape (B, 2, 2 length)."""
-    place = p ** np.arange(2 * length - 1, -1, -1, dtype=np.int64)
-    tuples = (idx[:, None] // place) % p
-    out = np.empty((len(idx), 2, 2 * length), dtype=np.int64)
-    first, second = tuples[:, 0::2], tuples[:, 1::2]
-    if variant == "O":
-        c, d = first, second
-        out[:, 0, 0::2] = d
-        out[:, 0, 1::2] = c
-        out[:, 1, 0::2] = (c + d) % p
-        out[:, 1, 1::2] = d
-    elif variant == "E":
-        a, b = first, second
-        out[:, 0, 0::2] = a
-        out[:, 0, 1::2] = b
-        out[:, 1, 0::2] = b
-        out[:, 1, 1::2] = (a + b) % p
-    else:
-        raise ValueError(f"variant must be 'O' or 'E', got {variant!r}")
-    return out
+    enumerate_ext_vectors order, shape (B, 2, 2 length), gathered from the
+    _blocks table by the base-p^2 digits of idx, most significant first."""
+    q = len(blocks)
+    digits = idx[:, None] // q ** np.arange(length - 1, -1, -1, dtype=np.int64) % q
+    return blocks[digits].transpose(0, 2, 1, 3).reshape(len(idx), 2, 2 * length)
 
 
 def image_rank_counts(p: int, r: int, variant: str = "O") -> dict[int, int]:
@@ -379,7 +373,7 @@ def image_rank_counts(p: int, r: int, variant: str = "O") -> dict[int, int]:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    blocks = _image_batch(np.arange(p * p), p, 1, variant)
+    blocks = _blocks(p, variant)
     ranks = batch_rank(blocks, p)
     # A rank-1 block's column space is the first row of its transpose's RREF.
     lines = batch_rref(blocks[ranks == 1].transpose(0, 2, 1), p)[0][:, 0]
@@ -400,6 +394,9 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     total = p ** (2 * r)
+    if total > 2**63:
+        raise ValueError(f"{total} vectors exceed the int64 index limit (2^63) "
+                         "of the sampled scan")
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, total, size=n_pairs)
     ib = rng.integers(0, total, size=n_pairs)
@@ -408,11 +405,12 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
         raise ValueError(f"no distinct pair among the n_pairs={n_pairs} drawn; "
                          "raise n_pairs")
     ia, ib, chunk = ia[keep], ib[keep], CHUNK
+    blocks = _blocks(p, variant)
 
     def part(start, stop):
         a, b = ia[start:stop], ib[start:stop]
-        return _min_rank((_image_batch(a[s:s + chunk], p, r, variant)
-                          - _image_batch(b[s:s + chunk], p, r, variant)
+        return _min_rank((_image_batch(a[s:s + chunk], blocks, r)
+                          - _image_batch(b[s:s + chunk], blocks, r)
                           for s in range(0, a.size, chunk)), p)
 
     return min(_run_parts(part, np.arange(ia.size + 1), chunk))

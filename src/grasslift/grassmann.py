@@ -31,7 +31,7 @@ import numpy as np
 from .gf import require_construction_prime
 from .matfp import (batch_lift, batch_rank, batch_rref, check_modulus, has_duplicates,
                     int_array, rref_null_space)
-from .codes import PAIR_GUARD, RankMetricCode, _image_batch
+from .codes import PAIR_GUARD, RankMetricCode, _blocks, _image_batch
 
 ENUMERATION_GUARD = 1 << 20
 # Collision pairs expanded at once, and points built at once, by the point scan.
@@ -403,7 +403,8 @@ def anticode_optimal_code(p: int, r: int, variant: str = "O",
             f"M={m_claim} means {npairs} verification pairs, over the guard "
             f"({pair_guard}); raise the guard to force the construction"
         )
-    images = [_image_batch(np.arange(p ** (2 * i)), p, i, variant) for i in range(1, r + 1)]
+    blocks = _blocks(p, variant)
+    images = [_image_batch(np.arange(p ** (2 * i)), blocks, i) for i in range(1, r + 1)]
     images.append(np.zeros((1, 2, 0), dtype=np.int64))  # lifts to (0 | I_2)
     code = GrassmannianCode(
         np.concatenate([batch_lift(a, n) for a in images]), p,

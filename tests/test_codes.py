@@ -47,6 +47,14 @@ def ev(p, *pairs):
     return ExtVector.from_pairs(pairs, p)
 
 
+def oracle_image(p, r, variant, i):
+    """Rows of the oracle image of vector i of (GF(p^2))^r: the base-p digits
+    of i, most significant first, are a_1, b_1, ..., a_r, b_r."""
+    flat = [i // p**k % p for k in range(2 * r - 1, -1, -1)]
+    embed = embed_zeros_odd if variant == "O" else embed_zeros_even
+    return matrix_image(embed(ev(p, *zip(flat[0::2], flat[1::2]))))
+
+
 def minor_rank(mat, p):
     """Rank oracle for 2 x l matrices via exhaustive 2 x 2 minor expansion."""
     rows = mat.to_lists()
@@ -251,13 +259,34 @@ def test_image_code_p2_r2_all_nonzero_words_rank_2():
 @pytest.mark.parametrize("variant", ["O", "E"])
 @pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (3, 1), (3, 2), (7, 1), (7, 2), (13, 1)])
 def test_vectorized_image_map_matches_built_code_in_order(p, r, variant):
-    # The image scans image word i as _image_batch of index i;
-    # build_image_code's scalar map over enumerate_ext_vectors is the
-    # oracle for both the words and their order.
-    words = [MatrixFp(m, p) for m in _image_batch(np.arange(p ** (2 * r)), p, r, variant)]
+    # Word i is gathered from the p^2 single-coordinate blocks as
+    # _image_batch of index i; the whole-vector map variant_image over
+    # enumerate_ext_vectors pins both the words and their order.
+    words = [MatrixFp(m, p) for m in
+             _image_batch(np.arange(p ** (2 * r)), codes._blocks(p, variant), r)]
     expected = [variant_image(v, variant) for v in enumerate_ext_vectors(p, r)]
     assert words == expected
     assert words == [MatrixFp(w, p) for w in build_image_code(p, r, variant).words]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from([(2, 8), (3, 4), (7, 3), (13, 3)]),
+    variant=st.sampled_from(codes.VARIANTS),
+    data=st.data(),
+)
+def test_gathered_images_match_the_oracle_map_beyond_one_digit(case, variant, data):
+    p, r = case
+    idx = data.draw(st.lists(st.integers(0, p ** (2 * r) - 1), min_size=1, max_size=8))
+    rows = _image_batch(np.array(idx, dtype=np.int64), codes._blocks(p, variant), r)
+    assert rows.tolist() == [oracle_image(p, r, variant, i) for i in idx]
+
+
+def test_image_code_at_the_word_guard():
+    code = build_image_code(2, 8, "O")
+    assert len(code) == codes.WORD_GUARD and code.rho == 16 and is_mrd(code)
+    for i in [*range(0, len(code), 4099), len(code) - 1]:
+        assert code.words[i].tolist() == oracle_image(2, 8, "O", i), i
 
 
 def test_image_code_rejects_non_construction_primes():
@@ -558,6 +587,14 @@ def test_image_rank_counts_are_exact_beyond_int64():
 def test_image_scans_refuse_r_below_one(scan, r):
     with pytest.raises(ValueError, match=r"r must be >= 1"):
         scan(r)
+
+
+def test_sampled_image_scan_refuses_indices_beyond_int64():
+    for p, r in ((2, 32), (13, 9)):
+        with pytest.raises(ValueError, match="int64 index limit"):
+            sample_image_pair_min_rank(p, r, "O", 10)
+    for p, r in ((2, 31), (13, 8)):  # the largest images under 2^63
+        assert sample_image_pair_min_rank(p, r, "O", 10) == 2
 
 
 def distinct_words(p, shape, draw_entries):
