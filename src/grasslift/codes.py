@@ -22,22 +22,16 @@ A code not known to be linear takes the exhaustive pair scan, each word
 against all later ones, under the pair guard and is refused above it.  The
 rank scans send stacks of at most CHUNK words to matfp.batch_rank.  Both
 derived maps act one coordinate at a time, so every image word is gathered
-from a table of the p^2 single-coordinate blocks, imaged once per call.  The
-rank histogram of the image of (GF(p^2))^r is counted exactly from the same
-blocks: a word's column space is the sum of its blocks'.
-
-The sampled image pair scan, when it takes more than CHUNK pairs, runs as up
-to WORKERS contiguous parts of the sample, one per core this process may
-use: the calling thread runs the first part and a pool thread runs each
-other; numpy releases the GIL inside batch_rank.  Minima take the min, so
-the result is exact and independent of the split.  The pair scan runs in
-the calling thread.
+from a table of the p^2 single-coordinate blocks, imaged once per call.  A
+word's column space is the sum of its blocks', so the rank histogram and the
+sampled pair scan (on an additive block table, image(u) - image(v) =
+image(u - v)) read ranks from the blocks' column-space classes.  Every scan
+runs in the calling thread.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
@@ -51,9 +45,6 @@ WORD_GUARD = 1 << 16
 PAIR_GUARD = 1 << 24
 DEFAULT_SAMPLE_PAIRS = 100_000
 CHUNK = 1 << 14
-# Most parts a scan is split into: the cores this process may run on.
-WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
 
 VARIANTS = ("O", "E")
 
@@ -245,34 +236,6 @@ def min_nonzero_rank(code: RankMetricCode) -> int:
     return int(nz.min())
 
 
-def _split(cum: np.ndarray, chunk: int) -> list[tuple[int, int]]:
-    """Contiguous nonempty ranges (start, stop) covering range(len(cum) - 1),
-    at most WORKERS of them, of about equal work, where cum[i] is the work of
-    items [0, i); one range if the work fits in ``chunk``."""
-    n, total = len(cum) - 1, int(cum[-1])
-    k = 1 if total <= chunk else min(WORKERS, n)
-    cuts = np.searchsorted(cum, total * np.arange(1, k) / k)
-    bounds = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _run_parts(fn, cum: np.ndarray, chunk: int) -> list:
-    """[fn(start, stop) for each part of _split(cum, chunk)]: the calling
-    thread runs the first part and a pool thread runs each other.  Every
-    worker is joined before this returns, and the first part's exception (in
-    part order) is raised here."""
-    first, *rest = _split(cum, chunk)
-    if not rest:
-        return [fn(*first)]
-    # Imported here: concurrent.futures imports logging (about 0.6 MiB of
-    # resident memory), which only a split scan needs.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(len(rest)) as pool:
-        futures = [pool.submit(fn, *part) for part in rest]
-        return [fn(*first)] + [f.result() for f in futures]
-
-
 def _min_rank(diffs, p: int) -> int | None:
     """Minimum rank over a stream of (B, R, C) stacks of residue differences;
     each lies in (-p, p) and is moved into [0, p) in place.  None if empty."""
@@ -362,6 +325,20 @@ def _image_batch(idx: np.ndarray, blocks: np.ndarray, length: int) -> np.ndarray
     return blocks[digits].transpose(0, 2, 1, 3).reshape(len(idx), 2, 2 * length)
 
 
+def _block_classes(blocks: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """(classes, plane): the column-space class of each 2 x 2 block.  Class 0
+    is the zero block, 1..L the L distinct column lines of the rank-1 blocks
+    and plane = L + 1 a rank-2 block."""
+    ranks = batch_rank(blocks, p)
+    # A rank-1 block's column space is the first row of its transpose's RREF.
+    lines = batch_rref(blocks[ranks == 1].transpose(0, 2, 1), p)[0][:, 0]
+    lines, ids = np.unique(lines, axis=0, return_inverse=True)
+    plane = len(lines) + 1
+    classes = np.where(ranks == 2, plane, 0)
+    classes[ranks == 1] = ids.ravel() + 1
+    return classes, plane
+
+
 def image_rank_counts(p: int, r: int, variant: str = "O") -> dict[int, int]:
     """Exact rank histogram {0: n0, 1: n1, 2: n2} of the variant image over
     all p^(2r) vectors of (GF(p^2))^r, from the p^2 single-coordinate blocks.
@@ -373,12 +350,8 @@ def image_rank_counts(p: int, r: int, variant: str = "O") -> dict[int, int]:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    blocks = _blocks(p, variant)
-    ranks = batch_rank(blocks, p)
-    # A rank-1 block's column space is the first row of its transpose's RREF.
-    lines = batch_rref(blocks[ranks == 1].transpose(0, 2, 1), p)[0][:, 0]
-    n_lines = np.unique(lines, axis=0, return_counts=True)[1].tolist()
-    z = int((ranks == 0).sum())
+    classes, plane = _block_classes(_blocks(p, variant), p)
+    z, *n_lines = np.bincount(classes, minlength=plane + 1)[:plane].tolist()
     zero = z**r
     one = sum((z + n) ** r - zero for n in n_lines)
     return {0: zero, 1: one, 2: int(p) ** (2 * r) - zero - one}
@@ -388,7 +361,11 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
                                n_pairs: int = DEFAULT_SAMPLE_PAIRS,
                                seed: int = 0) -> int:
     """Minimum rank of image(u) - image(v) over a seeded sample of distinct
-    vector pairs (u, v); companion check for guard-excluded pairwise scans."""
+    vector pairs (u, v); companion check for guard-excluded pairwise scans.
+    Refused unless block(a + b*w) = a*block(1) + b*block(w) mod p for all p^2
+    digits; then image(u) - image(v) = image(u - v).  With top the largest and
+    low the least nonzero _block_classes class of the digits of u - v, a pair
+    has rank 2 if top is the plane or low < top, else 1 if top > 0, else 0."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n_pairs < 1:
@@ -404,16 +381,24 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     if not keep.any():
         raise ValueError(f"no distinct pair among the n_pairs={n_pairs} drawn; "
                          "raise n_pairs")
-    ia, ib, chunk = ia[keep], ib[keep], CHUNK
-    blocks = _blocks(p, variant)
-
-    def part(start, stop):
-        a, b = ia[start:stop], ib[start:stop]
-        return _min_rank((_image_batch(a[s:s + chunk], blocks, r)
-                          - _image_batch(b[s:s + chunk], blocks, r)
-                          for s in range(0, a.size, chunk)), p)
-
-    return min(_run_parts(part, np.arange(ia.size + 1), chunk))
+    ia, ib, q, blocks = ia[keep], ib[keep], p * p, _blocks(p, variant)
+    a, b = np.divmod(np.arange(q), p)
+    if not np.array_equal(blocks, (a[:, None, None] * blocks[p]
+                                   + b[:, None, None] * blocks[1]) % p):
+        raise ValueError(f"the {variant} block map is not additive over GF({p})")
+    classes, plane = _block_classes(blocks, p)
+    # Digit a*p + b spreads to a*2p + b: two spread digits differ by the unique
+    # (a1 - a2)*2p + (b1 - b2), and diff_class, offset by 2p^2 + p, holds the
+    # class of their difference mod p.  Floor division beats numpy's divmod.
+    wrap = np.arange(-p, p) % p
+    diff_class, spread = classes[wrap[:, None] * p + wrap].ravel(), a * 2 * p + b
+    top, low = np.zeros_like(ia), np.full_like(ia, plane)
+    for _ in range(r):
+        ua, ub, ia, ib = ia, ib, ia // q, ib // q
+        cls = diff_class[spread[ua - ia * q] - spread[ub - ib * q] + 2 * q + p]
+        top = np.maximum(top, cls)
+        low = np.minimum(low, np.where(cls > 0, cls, plane))
+    return int(np.where((top == plane) | (low < top), 2, top > 0).min())
 
 
 def _weight_scan(p: int, count: int):

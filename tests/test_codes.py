@@ -1,9 +1,9 @@
 import itertools
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grasslift import codes
 from grasslift.gf import ExtFieldElement
@@ -12,7 +12,6 @@ from grasslift.codes import (
     ExtVector,
     RankMetricCode,
     _image_batch,
-    _split,
     build_image_code,
     enumerate_ext_vectors,
     even_zero_image,
@@ -638,26 +637,75 @@ def test_pair_scan_non_linear_codes_of_distance_one_and_two(monkeypatch, chunk):
 
 
 # ---------------------------------------------------------------------------
-# scans split into parts across threads
+# the sampled image pair scan
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
 @given(
-    weights=st.lists(st.integers(1, 30), min_size=1, max_size=40),
-    workers=st.integers(1, 6),
-    chunk=st.integers(1, 200),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    r=st.integers(1, 4),
+    variant=st.sampled_from(["O", "E"]),
+    seed=st.integers(0, 2**32 - 1),
+    n_pairs=st.integers(1, 500),
 )
-def test_split_gives_contiguous_covering_parts(weights, workers, chunk):
-    cum = np.concatenate(([0], np.cumsum(weights)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "WORKERS", workers)
-        parts = _split(cum, chunk)
-    assert parts[0][0] == 0 and parts[-1][1] == len(weights)
-    assert all(a < b for a, b in parts)
-    assert all(b == c for (_, b), (c, _) in zip(parts, parts[1:]))
-    assert len(parts) <= workers
-    if cum[-1] <= chunk:
-        assert len(parts) == 1
+# One pair whose difference lies on one line (p = 5), and single pairs whose
+# difference has only rank-1 digits on two distinct lines, so rank 2 (p = 11).
+@example(p=5, r=2, variant="O", seed=7, n_pairs=1)
+@example(p=11, r=2, variant="O", seed=384, n_pairs=1)
+@example(p=11, r=2, variant="E", seed=384, n_pairs=1)
+@example(p=11, r=3, variant="E", seed=389, n_pairs=1)
+def test_sampled_scan_matches_the_oracle_on_the_same_draw(p, r, variant, seed, n_pairs):
+    # The same two draws as the scan, each pair's difference ranked from the
+    # oracle map of indices decoded with Python ints.  At p = 5 and 11 the
+    # image has rank-1 words, so the line classes decide some pairs.
+    rng = np.random.default_rng(seed)
+    ia = rng.integers(0, p ** (2 * r), size=n_pairs).tolist()
+    ib = rng.integers(0, p ** (2 * r), size=n_pairs).tolist()
+    pairs = [(u, v) for u, v in zip(ia, ib) if u != v]
+    if not pairs:
+        with pytest.raises(ValueError, match="no distinct pair"):
+            sample_image_pair_min_rank(p, r, variant, n_pairs, seed=seed)
+        return
+    expected = min(
+        reference_rank([[x - y for x, y in zip(ru, rv)]
+                        for ru, rv in zip(oracle_image(p, r, variant, u),
+                                          oracle_image(p, r, variant, v))], p)
+        for u, v in pairs)
+    assert sample_image_pair_min_rank(p, r, variant, n_pairs, seed=seed) == expected
+
+
+@pytest.mark.parametrize("variant", ["O", "E"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sampled_scan_refuses_a_block_table_that_is_not_additive(monkeypatch, p, variant):
+    true = codes._blocks(p, variant)
+    expected = sample_image_pair_min_rank(p, 2, variant, 3)
+    for d, i, j in itertools.product(range(p * p), range(2), range(2)):
+        bad = true.copy()
+        bad[d, i, j] = (bad[d, i, j] + 1) % p
+        monkeypatch.setattr(codes, "_blocks", lambda p, variant: bad)
+        with pytest.raises(ValueError, match="not additive"):
+            sample_image_pair_min_rank(p, 2, variant, 3, seed=d)
+    monkeypatch.setattr(codes, "_blocks", lambda p, variant: true)
+    assert sample_image_pair_min_rank(p, 2, variant, 3) == expected
+
+
+@pytest.mark.parametrize("variant", ["O", "E"])
+@pytest.mark.parametrize("p, r, counts", [
+    (5, 1, {0: 1, 1: 4, 2: 20}),
+    (11, 1, {0: 1, 1: 20, 2: 100}),
+    (7, 3, {0: 1, 1: 0, 2: 117648}),
+])
+def test_block_classes_give_the_image_rank_counts(p, r, counts, variant):
+    assert image_rank_counts(p, r, variant) == counts
+    blocks = codes._blocks(p, variant)
+    classes, plane = codes._block_classes(blocks, p)
+    # Two blocks share a class exactly when they span one column space.
+    ranked = [(b, c, reference_rank(b, p)) for b, c in zip(blocks.tolist(), classes.tolist())]
+    for b, c, rank in ranked:
+        assert (c == 0, c == plane) == (rank == 0, rank == 2)
+    for (x, cx, rx), (y, cy, ry) in itertools.combinations(ranked, 2):
+        joined = reference_rank([u + v for u, v in zip(x, y)], p)
+        assert (cx == cy) == (joined == rx == ry)
 
 
 def false_linear_words():
@@ -671,15 +719,14 @@ def false_linear_words():
 
 
 def scan_results():
-    """Every image and pair scan, on cases of one to many parts of the
-    sampled scan (fewer pairs than workers included)."""
+    """Every image and pair scan, the sampled one from one to 300 pairs."""
     out = {}
     for p, r, variant in ((2, 1, "O"), (3, 1, "E"), (3, 2, "O"), (7, 1, "E")):
         out[("counts", p, r, variant)] = image_rank_counts(p, r, variant)
     for n_pairs in (1, 3, 300):
         out[("sample", n_pairs)] = sample_image_pair_min_rank(3, 2, "E", n_pairs, seed=5)
     # At p = 5 the image has rank-1 words; seed 19 draws four distinct pairs
-    # and only the last has a rank-1 difference, so every part counts.
+    # and only the last has a rank-1 difference.
     out["sample p=5"] = sample_image_pair_min_rank(5, 1, "O", 4, seed=19)
     # Three words (two rows of pairs) and the 81 words of the (3, 2) E image.
     three = [[[0, 0], [0, 0]], [[1, 0], [0, 1]], [[2, 0], [0, 2]]]
@@ -692,37 +739,17 @@ def scan_results():
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
-def test_scans_are_independent_of_the_split(monkeypatch, workers, chunk):
-    monkeypatch.setattr(codes, "WORKERS", 1)
+@pytest.mark.parametrize("callers", [1, 2, 3, 5])
+def test_scans_are_independent_of_the_split(monkeypatch, callers, chunk):
+    # Every scan runs in its calling thread and keeps no state between calls,
+    # so each of several threads calling at once gets the one-caller results.
     expected = scan_results()
     assert expected["sample p=5"] == 1
     assert expected["false linear"] == 1
-    monkeypatch.setattr(codes, "WORKERS", workers)
     monkeypatch.setattr(codes, "CHUNK", chunk)
-    assert scan_results() == expected
-
-
-@pytest.mark.parametrize("raising", ["helper", "caller"])
-@pytest.mark.parametrize("scan", [
-    lambda: sample_image_pair_min_rank(3, 2, "E", 300, seed=5),
-], ids=["sample"])
-def test_part_errors_reach_the_caller(monkeypatch, scan, raising):
-    monkeypatch.setattr(codes, "WORKERS", 3)
-    monkeypatch.setattr(codes, "CHUNK", 7)
-    original = codes.batch_rank
-
-    def failing(mats, p):
-        if (threading.current_thread() is threading.main_thread()) == (raising == "caller"):
-            raise ArithmeticError(f"{raising} part failed")
-        return original(mats, p)
-
-    scan()  # the unpatched scan: with CHUNK = 7 it runs in three parts
-    monkeypatch.setattr(codes, "batch_rank", failing)
-    before = threading.active_count()
-    with pytest.raises(ArithmeticError, match=f"{raising} part failed"):
-        scan()
-    assert threading.active_count() == before
+    with ThreadPoolExecutor(callers) as pool:
+        results = list(pool.map(lambda _: scan_results(), range(callers)))
+    assert results == [expected] * callers
 
 
 def test_sample_image_pair_min_rank_refuses_degenerate_samples():
