@@ -178,7 +178,7 @@ def cmd_construct(p, r, variant, out, guard):
     bound = anticode_bound(code.n, 4, 2, p, "subspace")
     report.add("anticode bound attained", bound, code.M)
     report.notes.append(f"ambient dimension n = 2r+2 = {code.n}")
-    Path(out).write_text(json.dumps(code.to_dict(), sort_keys=True, indent=2) + "\n")
+    Path(out).write_text(code.to_json())
     report.notes.append(f"wrote {out}")
     _finish(report, started)
 

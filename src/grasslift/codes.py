@@ -312,7 +312,11 @@ def build_image_code(p: int, r: int, variant: str = "O") -> RankMetricCode:
 def _blocks(p: int, variant: str) -> np.ndarray:
     """The (p^2, 2, 2) variant images of the single-coordinate vectors of
     GF(p^2), in enumerate_ext_vectors order: the one image map, since every
-    image word is its coordinates' blocks side by side."""
+    image word is its coordinates' blocks side by side.  Refused when p^2
+    exceeds WORD_GUARD, since every block is built as a scalar object."""
+    if p * p > WORD_GUARD:
+        raise ValueError(f"p={p} has {p * p} single-coordinate blocks, over the "
+                         f"materialization guard ({WORD_GUARD})")
     return np.stack([variant_image(v, variant).array for v in enumerate_ext_vectors(p, 1)])
 
 
@@ -374,6 +378,7 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     if total > 2**63:
         raise ValueError(f"{total} vectors exceed the int64 index limit (2^63) "
                          "of the sampled scan")
+    blocks = _blocks(p, variant)
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, total, size=n_pairs)
     ib = rng.integers(0, total, size=n_pairs)
@@ -381,7 +386,7 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     if not keep.any():
         raise ValueError(f"no distinct pair among the n_pairs={n_pairs} drawn; "
                          "raise n_pairs")
-    ia, ib, q, blocks = ia[keep], ib[keep], p * p, _blocks(p, variant)
+    ia, ib, q = ia[keep], ib[keep], p * p
     a, b = np.divmod(np.arange(q), p)
     if not np.array_equal(blocks, (a[:, None, None] * blocks[p]
                                    + b[:, None, None] * blocks[1]) % p):

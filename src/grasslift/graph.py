@@ -4,18 +4,20 @@ Vertices are the codewords in the code's own order; two vertices are
 adjacent exactly when the subspaces meet only in zero.  For the optimal
 codes built by this package the graph is complete.  A graph is held as its
 vertices' (M, k, n) basis array and a symmetric boolean adjacency matrix
-with a false diagonal; the writers read the matrix row by row, with no
-per-edge objects.
+with a false diagonal, filled from the pair scan through a boolean
+upper-triangle mask.  The writers work on arrays: the DOT writer gathers each
+row's later neighbours from an array of vertex names by the row's mask and
+joins them once per row, the CSV is one character buffer, and the JSON
+sidecar spells its basis array from a string table (dumps_with_array), byte
+for byte the stdlib's sorted 2-space-indented encoding.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .codes import PAIR_GUARD
-from .grassmann import GrassmannianCode
+from .grassmann import GrassmannianCode, dumps_with_array
 
 # DOT labels write each basis entry as one hex digit.
 LABEL_MAX_P = 16
@@ -53,7 +55,8 @@ def intersection_graph(code: GrassmannianCode,
                        pair_guard: int = PAIR_GUARD) -> CodeGraph:
     """Graph with an edge {i, j} iff words i and j intersect trivially."""
     adjacency = np.zeros((code.M, code.M), dtype=bool)
-    adjacency[np.triu_indices(code.M, 1)] = code.intersection_dims(pair_guard) == 0
+    # A boolean mask assigns in row-major order, which is triu order.
+    adjacency[np.triu(np.ones_like(adjacency), 1)] = code.intersection_dims(pair_guard) == 0
     adjacency |= adjacency.T
     return CodeGraph(code.words, code.p, adjacency)
 
@@ -72,20 +75,22 @@ def degree_sequence(graph: CodeGraph) -> list[int]:
 def to_dot(graph: CodeGraph) -> str:
     """DOT description: one labelled node per vertex (its index and its basis
     entries as hex digits), one line per edge {i, j}, i < j, in row order.
-    Each index is formatted once; a row's edge lines are one join."""
+    Each index is formatted once; a row's later neighbours are gathered from
+    the name array by its boolean mask, and its edge lines are one join."""
     if graph.p > LABEL_MAX_P:
         raise ValueError(f"digit labels support p <= {LABEL_MAX_P}")
     digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
     labels = digits[graph.vertices.reshape(graph.n_vertices, -1)]
     names = [str(i) for i in range(graph.n_vertices)]
+    name_array = np.array(names, dtype=object)
     parts = ["graph Gamma {\n"]
     parts += [f'  {i} [label="{i}:{label.tobytes().decode()}"];\n'
               for i, label in zip(names, labels)]
-    for i, row in zip(names, np.triu(graph.adjacency)):
-        later = np.flatnonzero(row).tolist()
+    for i, (name, row) in enumerate(zip(names, graph.adjacency)):
+        later = name_array[i + 1:][row[i + 1:]].tolist()
         if later:
-            head = f"  {i} -- "
-            parts.append(head + f";\n{head}".join([names[j] for j in later]) + ";\n")
+            head = f"  {name} -- "
+            parts.append(head + f";\n{head}".join(later) + ";\n")
     parts.append("}\n")
     return "".join(parts)
 
@@ -93,8 +98,7 @@ def to_dot(graph: CodeGraph) -> str:
 def vertex_sidecar_json(graph: CodeGraph) -> str:
     """Full RREF bases for the compact DOT labels, as JSON."""
     _, k, n = graph.vertices.shape
-    payload = {"p": graph.p, "n": n, "k": k, "vertices": graph.vertices.tolist()}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return dumps_with_array({"p": graph.p, "n": n, "k": k}, "vertices", graph.vertices)
 
 
 def adjacency_matrix(graph: CodeGraph) -> np.ndarray:

@@ -25,6 +25,7 @@ bottom row against the top row's pivot column.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -131,6 +132,51 @@ def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> 
     return num // den
 
 
+def dumps_with_array(payload: dict, key: str, array: np.ndarray) -> str:
+    """``json.dumps({**payload, key: array.tolist()}, sort_keys=True,
+    indent=2) + "\\n"`` for an int array, without the stdlib's per-integer
+    Python encoder.
+
+    The header is encoded with 0 in place of the array.  Its line
+    ``\\n  "<key>": 0`` occurs once: encoded strings hold no raw newline and
+    only top-level keys sit two spaces in.  The array's items are its values,
+    spelled from one string table (or "[]" past its first empty axis), and the
+    text between two items depends only on how many inner lists close there.
+    """
+    line = f"\n  {json.dumps(key)}: "
+    head, found, tail = json.dumps({**payload, key: 0}, sort_keys=True,
+                                   indent=2).partition(line + "0")
+    assert found, "the placeholder line is missing"
+    shape = array.shape
+    if 0 in shape:
+        shape = shape[:shape.index(0)]
+        items = ["[]"] * int(np.prod(shape))
+    else:
+        values, inverse = np.unique(array.ravel(), return_inverse=True)
+        items = np.array([str(v) for v in values.tolist()], dtype=object)[inverse].tolist()
+    depth = len(shape)
+
+    def brackets(levels, bracket):
+        # A level-l list's brackets sit 2l spaces in, its items 2(l+1).
+        return "".join(f"\n{' ' * 2 * level}{bracket}" for level in levels)
+
+    indent = "\n" + " " * 2 * (depth + 1)
+    seps = [brackets(range(depth, depth - closed, -1), "]") + ","
+            + brackets(range(depth - closed + 1, depth + 1), "[") + indent
+            for closed in range(depth)]
+    closes = np.zeros(len(items) - 1, dtype=np.intp)
+    for size in np.cumprod(shape[:0:-1]).tolist():
+        closes += np.arange(1, len(items)) % size == 0
+    parts = np.empty(2 * len(items) - 1, dtype=object)
+    parts[0::2] = items
+    parts[1::2] = np.array(seps, dtype=object)[closes]
+    opening = closing = ""
+    if depth:
+        opening = "[" + brackets(range(2, depth + 1), "[") + indent
+        closing = brackets(range(depth, 0, -1), "]")
+    return head + line + opening + "".join(parts.tolist()) + closing + tail + "\n"
+
+
 class GrassmannianCode:
     """A constant-dimension code: distinct k-dimensional subspaces of GF(p)^n.
 
@@ -173,14 +219,15 @@ class GrassmannianCode:
         d = self.d if self.d is not None else "?"
         return f"n={self.n} M={self.M} d={d} k={self.k} q={self.p}"
 
+    def _header(self) -> dict:
+        return {"p": self.p, "n": self.n, "k": self.k, "provenance": self.provenance}
+
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "k": self.k,
-            "provenance": self.provenance,
-            "words": self.words.tolist(),
-        }
+        return {**self._header(), "words": self.words.tolist()}
+
+    def to_json(self) -> str:
+        """The code file: to_dict() as sorted, 2-space-indented JSON."""
+        return dumps_with_array(self._header(), "words", self.words)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrassmannianCode":

@@ -5,10 +5,13 @@ the batched paths can be checked against them for any modulus.  The scalar
 helpers here (GF(p^2) element lists, Hamming and Bachoc weights, the block
 image map, zero embeddings, and subspaces with their metrics and duals) are
 needed by no command; they build on the library's ExtFieldElement and
-ExtVector objects and on the eliminations below.
+ExtVector objects and on the eliminations below.  The writer references
+(the stdlib's indented JSON, the per-row DOT formula and the triu_indices
+adjacency) are what the library's array writers must match byte for byte.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -109,6 +112,43 @@ def reference_intersection_dims(words, p):
         len(a) + len(b) - reference_rank(a.tolist() + b.tolist(), p)
         for a, b in itertools.combinations(words, 2)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Writers: the stdlib JSON encoder, the per-row DOT formula and the
+# triu_indices adjacency, as references for the library's array writers
+# ---------------------------------------------------------------------------
+
+def reference_dumps_with_array(payload, key, array):
+    """The stdlib encoding of payload with array as key's value."""
+    return json.dumps({**payload, key: np.asarray(array).tolist()},
+                      sort_keys=True, indent=2) + "\n"
+
+
+def reference_to_dot(graph):
+    """DOT text of a CodeGraph: its labelled nodes, then for each row of the
+    upper triangle one "i -- j;" line per later neighbour j, as a list
+    comprehension over the row's neighbour indices."""
+    rows = graph.vertices.reshape(graph.n_vertices, -1).tolist()
+    names = [str(i) for i in range(graph.n_vertices)]
+    parts = ["graph Gamma {\n"]
+    parts += [f'  {i} [label="{i}:{"".join("0123456789abcdef"[x] for x in row)}"];\n'
+              for i, row in zip(names, rows)]
+    for i, row in zip(names, np.triu(graph.adjacency)):
+        later = np.flatnonzero(row).tolist()
+        if later:
+            head = f"  {i} -- "
+            parts.append(head + f";\n{head}".join([names[j] for j in later]) + ";\n")
+    parts.append("}\n")
+    return "".join(parts)
+
+
+def reference_adjacency(m, inters):
+    """Symmetric (m, m) adjacency with an edge {i, j} iff the pair's
+    intersection dimension (triu order) is 0, filled through np.triu_indices."""
+    adjacency = np.zeros((m, m), dtype=bool)
+    adjacency[np.triu_indices(m, 1)] = np.asarray(inters) == 0
+    return adjacency | adjacency.T
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,15 @@ def test_construct_refuses_huge_primes_at_once(runner, tmp_path, p, message):
     assert "Traceback" not in result.output
 
 
+def test_construct_refuses_a_block_table_over_the_word_guard(runner, tmp_path):
+    # A raised pair guard lets p = 257 reach the p^2 block table, which refuses it.
+    result = runner.invoke(main, ["construct", "--p", "257", "--r", "1", "--guard",
+                                  str(10**12), "--out", str(tmp_path / "c.json")])
+    assert result.exit_code == 2
+    assert "p=257" in result.output and "guard" in result.output
+    assert "Traceback" not in result.output
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

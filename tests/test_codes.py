@@ -689,6 +689,15 @@ def test_sampled_scan_refuses_a_block_table_that_is_not_additive(monkeypatch, p,
     assert sample_image_pair_min_rank(p, 2, variant, 3) == expected
 
 
+@pytest.mark.parametrize("scan", [image_rank_counts, sample_image_pair_min_rank])
+def test_block_table_guard_names_p(scan):
+    # 257^2 = 66049 single-coordinate blocks exceed WORD_GUARD = 2^16, and
+    # 257 % 5 == 2, so only the block table refuses it.
+    assert 257**2 > codes.WORD_GUARD
+    with pytest.raises(ValueError, match=r"p=257 has 66049 .*guard"):
+        scan(257, 1)
+
+
 @pytest.mark.parametrize("variant", ["O", "E"])
 @pytest.mark.parametrize("p, r, counts", [
     (5, 1, {0: 1, 1: 4, 2: 20}),

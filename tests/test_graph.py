@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grasslift.grassmann import GrassmannianCode, anticode_optimal_code, span
+from grasslift.grassmann import (GrassmannianCode, anticode_optimal_code,
+                                 enumerate_grassmannian, span)
 from grasslift.graph import (
     CodeGraph,
     adjacency_csv,
@@ -13,6 +15,13 @@ from grasslift.graph import (
     is_complete,
     to_dot,
     vertex_sidecar_json,
+)
+
+from oracles import (
+    reference_adjacency,
+    reference_dumps_with_array,
+    reference_intersection_dims,
+    reference_to_dot,
 )
 
 
@@ -176,3 +185,62 @@ def test_vertices_keep_code_order():
     assert np.array_equal(
         adjacency_matrix(g), adjacency_matrix(intersection_graph(code))
     )
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 3), (3, 2), (13, 1), (17, 1)])
+def test_sidecar_is_the_stdlib_encoding(p, r):
+    code = anticode_optimal_code(p, r, "O")
+    g = intersection_graph(code)
+    header = {"p": p, "n": code.n, "k": code.k}
+    assert vertex_sidecar_json(g) == reference_dumps_with_array(header, "vertices", code.words)
+
+
+def random_graph(rng, m, p, density):
+    """A CodeGraph on m random (2, 4) vertices over GF(p): a random upper
+    triangle in which about a tenth of the rows have no later neighbour and
+    about a tenth of the vertices are isolated."""
+    upper = np.triu(rng.random((m, m)) < density, 1)
+    upper[rng.random(m) < 0.1] = False
+    isolated = rng.random(m) < 0.1
+    upper[isolated] = False
+    upper[:, isolated] = False
+    vertices = rng.integers(0, p, size=(m, 2, 4))
+    return CodeGraph(vertices, p, upper | upper.T)
+
+
+# M crosses 10, 100 and 1000, where vertex names gain a digit.
+@pytest.mark.parametrize("m", [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+def test_dot_matches_the_per_row_formula(m):
+    rng = np.random.default_rng(m)
+    for p, density in ((2, 0.0), (13, 0.05), (3, 0.5), (16, 1.0)):
+        g = random_graph(rng, m, p, density)
+        assert to_dot(g) == reference_to_dot(g)
+    complete = CodeGraph(g.vertices, g.p, ~np.eye(m, dtype=bool))
+    assert to_dot(complete) == reference_to_dot(complete)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 40), p=st.sampled_from([2, 3, 13, 16]),
+       density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_dot_matches_the_per_row_formula_on_small_graphs(m, p, density, seed):
+    g = random_graph(np.random.default_rng(seed), m, p, density)
+    assert to_dot(g) == reference_to_dot(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), space=st.sampled_from([(4, 2, 3), (5, 2, 2), (4, 1, 2)]))
+def test_intersection_graph_matches_the_triu_indices_construction(data, space):
+    n, k, p = space
+    planes = enumerate_grassmannian(n, k, p)
+    picked = data.draw(st.lists(st.integers(0, len(planes) - 1), min_size=1,
+                                max_size=30, unique=True), label="picked")
+    code = GrassmannianCode(planes[picked], p)
+    expected = reference_adjacency(code.M, reference_intersection_dims(list(code.words), p))
+    assert np.array_equal(intersection_graph(code).adjacency, expected)
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (2, 4), (3, 3), (7, 1)])
+def test_intersection_graph_of_optimal_codes_matches_the_triu_indices_construction(p, r):
+    code = anticode_optimal_code(p, r, "O")
+    expected = reference_adjacency(code.M, code.intersection_dims())
+    assert np.array_equal(intersection_graph(code).adjacency, expected)

@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grasslift import grassmann
 from grasslift.codes import RankMetricCode, build_image_code
@@ -14,6 +16,7 @@ from grasslift.grassmann import (
     code_params,
     compare_variant_codes,
     dual_code,
+    dumps_with_array,
     enumerate_grassmannian,
     gaussian_coefficient,
     lift_code,
@@ -28,6 +31,7 @@ from oracles import (
     dual_subspace,
     injection_distance,
     intersection_dim,
+    reference_dumps_with_array,
     reference_intersection_dims,
     reference_points,
     reference_rank,
@@ -632,6 +636,57 @@ def test_grassmannian_code_round_trip():
     assert again.d is None
     assert code_params(again) == (4, 5, 4, 2)
     assert again.provenance == code.provenance
+
+
+# Header text spelled like the code-file writer's separators, its
+# placeholder line or its array key.
+TRICKY_TEXT = st.sampled_from(['\n  "words": 0', '"words": 0', "words", "vertices",
+                               ",\n      ", "\n    ],\n    [", "[]", "\u00e9t\u00e9", "\u2028"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.text() | TRICKY_TEXT,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text() | TRICKY_TEXT, inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def word_stacks(draw):
+    """(M, k, n) arrays over GF(p), p in {2, 3, 13, 17} (two-digit entries),
+    including k = 0 and n = 0."""
+    p = draw(st.sampled_from([2, 3, 13, 17]))
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(0, 3), st.integers(0, 6)))
+    return draw(arrays(np.int64, shape, elements=st.integers(0, p - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=word_stacks(),
+       provenance=st.dictionaries(st.text() | TRICKY_TEXT, JSON_VALUES, max_size=4),
+       key=st.sampled_from(["words", "vertices"]))
+@example(words=np.zeros((3, 0, 4), dtype=np.int64), provenance={}, key="words")
+@example(words=np.array([[[16, 0, 3], [0, 12, 1]]]), provenance={"words": [0]}, key="words")
+@example(words=np.array([[[-3, 2**40]], [[0, -1]]]), provenance={"\u00e9": {"a": "b"}},
+         key="vertices")
+def test_dumps_with_array_matches_the_stdlib_encoder(words, provenance, key):
+    _, k, n = words.shape
+    payload = {"p": 17, "n": n, "k": k, "provenance": provenance}
+    assert dumps_with_array(payload, key, words) == reference_dumps_with_array(payload, key, words)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 2, 4), (2, 0, 0), (3,), ()])
+def test_dumps_with_array_other_ranks(shape):
+    words = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
+    assert dumps_with_array({"p": 2}, "words", words) == \
+        reference_dumps_with_array({"p": 2}, "words", words)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 3), (3, 2), (13, 1), (17, 1)])
+def test_code_file_is_the_stdlib_encoding(p, r):
+    code = anticode_optimal_code(p, r, "E")
+    text = code.to_json()
+    assert text == json.dumps(code.to_dict(), sort_keys=True, indent=2) + "\n"
+    again = GrassmannianCode.from_dict(json.loads(text))
+    assert np.array_equal(again.words, code.words) and again.provenance == code.provenance
 
 
 def test_from_dict_rejects_non_canonical_words():
