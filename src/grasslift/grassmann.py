@@ -5,8 +5,8 @@ Every subspace is an array: its unique reduced-row-echelon basis, a (k, n)
 array with no zero row, so subspace equality is plain array equality.
 :func:`span` canonicalizes generators, :func:`enumerate_grassmannian` returns
 a whole Grassmannian as one (N, k, n) array, and a code holds its words as
-one (M, k, n) array of RREF bases, checked by one :func:`batch_rref` call
-over all of them.
+one (M, k, n) array of RREF bases, checked directly: no zero row, pivots
+moving right, and the pivot columns forming I_k.
 Minimum distances are never taken on faith: every construction here
 recomputes them by a full pairwise scan and refuses to return an object
 whose parameters disagree with the scan.  The
@@ -39,10 +39,21 @@ ENUMERATION_GUARD = 1 << 20
 CHUNK = 1 << 16
 
 
-def _require_rref(bases: np.ndarray, p: int) -> None:
-    """Raise unless every basis of a (B, k, n) stack is its own RREF with no zero row."""
-    reduced, ranks = batch_rref(bases, p)
-    if (ranks != bases.shape[1]).any() or (reduced != bases).any():
+def _require_rref(bases: np.ndarray) -> None:
+    """Raise unless every basis of a (B, k, n) stack with entries in [0, p)
+    is its own RREF with no zero row, checked without elimination: no row is
+    zero, each row's first nonzero column lies right of the previous row's,
+    and the (k, k) gather of those columns is I_k.  The RREF is unique, so
+    this is exactly the condition that eliminating the stack changes nothing
+    and finds rank k."""
+    nonzero = bases != 0
+    canonical = nonzero.any(axis=2).all()
+    if canonical and bases.size:  # an empty stack, or k = 0, is canonical
+        lead = nonzero.argmax(axis=2)
+        pivots = np.take_along_axis(bases, lead[:, None, :], axis=2)
+        canonical = ((np.diff(lead, axis=1) > 0).all()
+                     and (pivots == np.eye(bases.shape[1], dtype=bases.dtype)).all())
+    if not canonical:
         raise ValueError("basis is not a canonical RREF basis; use span()")
 
 
@@ -55,8 +66,19 @@ def span(rows, p: int) -> np.ndarray:
 
 def dual_bases(bases: np.ndarray, p: int) -> np.ndarray:
     """RREF bases of the orthogonal complements of a (B, k, n) stack of RREF
-    bases: kernels read off the bases, canonicalized by one elimination."""
-    return batch_rref(rref_null_space(bases, p), p)[0]
+    bases, eliminating min(k, n - k) rows per word.
+
+    When 2k > n the (n - k)-row kernels read off the bases are canonicalized
+    by one elimination.  Otherwise the column-reversed bases are eliminated
+    instead: the kernels of their RREFs, with both axes reversed, are
+    already in RREF, since each kernel row of an RREF matrix has its free
+    column's 1 right of every other nonzero entry.
+    """
+    _, k, n = bases.shape
+    if 2 * k > n:
+        return batch_rref(rref_null_space(bases, p), p)[0]
+    kernels = rref_null_space(batch_rref(bases[:, :, ::-1], p)[0], p)
+    return np.ascontiguousarray(kernels[:, ::-1, ::-1])
 
 
 def gaussian_coefficient(n: int, k: int, q: int) -> int:
@@ -193,7 +215,7 @@ class GrassmannianCode:
         if not len(words):
             raise ValueError("a code needs at least one word")
         words = int_array(words, 3) % p
-        _require_rref(words, p)
+        _require_rref(words)
         if has_duplicates(words):
             raise ValueError("duplicate words")
         words.setflags(write=False)

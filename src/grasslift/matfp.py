@@ -27,7 +27,8 @@ RREF_CHUNK = 256
 
 def check_modulus(p: int) -> None:
     """Raise ValueError unless p is an integer prime no larger than MAX_MODULUS."""
-    if not isinstance(p, (int, np.integer)):
+    # bool is an int subclass: refuse it here rather than as "not prime".
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
         raise ValueError(f"modulus must be an integer, got {p!r}")
     # The ceiling comes first: it refuses every p the int64 kernels cannot hold.
     if p > MAX_MODULUS:

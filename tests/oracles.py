@@ -19,6 +19,9 @@ import numpy as np
 from grasslift.codes import ExtVector
 from grasslift.gf import ExtFieldElement
 
+# The largest prime at or below MAX_MODULUS = isqrt(2^63 - 1).
+LARGEST_PRIME = 3_037_000_493
+
 
 def reference_rref(rows, p):
     """Reduced row echelon form over GF(p) and its rank, on Python ints.

@@ -338,6 +338,20 @@ def test_malformed_code_files_exit_2_without_traceback(runner, tmp_path, name):
         assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("data", [
+    _matrix_file([[[0]], [[1]]], p=True),
+    _subspace_file([E12], p=True),
+])
+def test_boolean_modulus_exits_2_as_not_an_integer(runner, tmp_path, data):
+    # JSON true is a Python bool, an int subclass, not the modulus 1
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "modulus must be an integer, got True" in result.output
+
+
 @pytest.mark.parametrize("args", [
     ["construct", "--p", "2", "--r", "2", "--out", "{missing}/code.json"],
     ["graph", "--p", "2", "--r", "2", "--out", "{missing}/g.dot"],

@@ -27,6 +27,7 @@ from grasslift.grassmann import (
 )
 
 from oracles import (
+    LARGEST_PRIME,
     Subspace,
     dual_subspace,
     injection_distance,
@@ -35,6 +36,7 @@ from oracles import (
     reference_intersection_dims,
     reference_points,
     reference_rank,
+    reference_rref,
     subspace_distance,
 )
 
@@ -74,6 +76,16 @@ def random_invertible(k, p, rng):
         m = rng.integers(0, p, size=(k, k))
         if reference_rank(m, p) == k:
             return m
+
+
+def random_rref(k, n, p, rng):
+    """A random (k, n) RREF basis with no zero row: random pivot columns,
+    random entries right of each pivot outside the pivot columns."""
+    pivots = np.sort(rng.choice(n, size=k, replace=False))
+    basis = rng.integers(0, p, size=(k, n))
+    basis[np.arange(n) < pivots[:, None]] = 0
+    basis[:, pivots] = np.eye(k, dtype=np.int64)
+    return basis
 
 
 def sub(rows, p):
@@ -160,6 +172,54 @@ def test_span_basis_passes_the_public_check(p, rows, n, rank, seed):
     s = span(g, p)
     assert np.array_equal(Subspace(s, p).basis, s)
     assert len(s) == reference_rank(g, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 13, LARGEST_PRIME]),
+    n=st.integers(1, 6),
+    data=st.data(),
+)
+def test_code_refuses_exactly_the_non_canonical_stacks(p, n, data):
+    # The constructor checks the RREF conditions directly; the oracle
+    # eliminates every word.  One entry or row of one word of a canonical
+    # stack is changed: a pivot set to another value, an entry set above a
+    # pivot, two rows swapped, a row zeroed, or any entry set at random
+    # (which can leave the word canonical).
+    k = data.draw(st.integers(0, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    words = {}
+    for _ in range(data.draw(st.integers(1, 5), label="m")):
+        w = random_rref(k, n, p, rng)
+        words[w.tobytes()] = w
+    stack = np.stack(list(words.values()))
+    mutation = data.draw(st.sampled_from(["none", "pivot", "above", "swap", "zero", "any"]),
+                         label="mutation")
+    word = stack[rng.integers(len(stack))]
+    pivots = (word != 0).argmax(axis=1)
+    i = rng.integers(k) if k else None
+    value = int(rng.integers(0, p))
+    if k and mutation == "pivot":
+        word[i, pivots[i]] = value if value != 1 else 0
+    elif k and mutation == "above" and i:
+        word[rng.integers(i), pivots[i]] = max(value, 1)
+    elif k >= 2 and mutation == "swap":
+        a, b = rng.choice(k, size=2, replace=False)
+        word[[a, b]] = word[[b, a]]
+    elif k and mutation == "zero":
+        word[i] = 0
+    elif mutation == "any" and stack.size:
+        word[rng.integers(k), rng.integers(n)] = value
+    rows = [w.tolist() for w in stack]
+    expected = all(reference_rref(w, p) == (w, k) for w in rows)
+    try:
+        GrassmannianCode(stack, p)
+        refused = False
+    except ValueError as exc:
+        refused = "canonical" in str(exc)
+        # a canonical mutation can equal another word
+        assert refused or "duplicate" in str(exc), exc
+    assert refused == (not expected)
 
 
 def test_equal_spans_iff_equal_bases():
@@ -446,6 +506,37 @@ def test_dual_involution_random():
             assert np.array_equal(grassmann.dual_bases(s.basis[None], p)[0], d.basis)
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(9) for k in range(n + 1)])
+def test_dual_bases_match_the_oracle_at_every_shape(n, k):
+    # 2k <= n eliminates the reversed words, 2k > n their kernels; 2k = n
+    # is the boundary, and k = 0 and k = n the empty side.
+    rng = np.random.default_rng(100 * n + k)
+    for p in (2, 3, 13, LARGEST_PRIME):
+        bases = np.stack([random_rref(k, n, p, rng) for _ in range(6)])
+        duals = grassmann.dual_bases(bases, p)
+        assert duals.shape == (6, n - k, n)
+        for basis, dual in zip(bases, duals):
+            assert dual.tolist() == dual_subspace(Subspace(basis, p)).basis.tolist()
+        assert np.array_equal(grassmann.dual_bases(duals, p), bases)
+
+
+def test_code_checks_eliminate_nothing_and_duals_the_smaller_side(monkeypatch):
+    # Every dual of a (6, 21, 4, 2) code eliminates one 2-row stack: the
+    # reversed words for the planes, the kernels for their 4-dimensional
+    # duals.  The constructor checks the words without eliminating them, so
+    # dual_code eliminates twice: once to build the duals, once for their
+    # own pair scan, which runs on the duals' duals.
+    shapes = []
+    monkeypatch.setattr(grassmann, "batch_rref",
+                        lambda a, p, fn=batch_rref: shapes.append(a.shape) or fn(a, p))
+    code = anticode_optimal_code(2, 2, "O")
+    assert shapes == []
+    dual = dual_code(code)
+    assert shapes == [(21, 2, 6)] * 2
+    assert np.array_equal(grassmann.dual_bases(dual.words, 2), code.words)
+    assert shapes == [(21, 2, 6)] * 3
+
+
 def test_dual_code_params():
     code = anticode_optimal_code(2, 2, "O")
     dual = dual_code(code)
@@ -468,6 +559,10 @@ def test_code_container_validation():
     other = span([[1, 0, 0], [0, 1, 0]], 2)
     with pytest.raises(ValueError, match="share one shape"):
         GrassmannianCode([a, other], 2)
+    # k = 0 is the zero space; rows of length 0 are zero rows
+    assert GrassmannianCode(np.zeros((1, 0, 3), dtype=np.int64), 2).k == 0
+    with pytest.raises(ValueError, match="canonical"):
+        GrassmannianCode(np.zeros((1, 2, 0), dtype=np.int64), 2)
 
 
 def test_code_params_detects_stale_cache():

@@ -17,11 +17,9 @@ from grasslift.matfp import (
     rref_null_space,
 )
 
-from oracles import reference_rank, reference_rref
+from oracles import LARGEST_PRIME, reference_rank, reference_rref
 
 MERSENNE_31 = 2_147_483_647
-# The largest prime at or below MAX_MODULUS = isqrt(2^63 - 1).
-LARGEST_PRIME = 3_037_000_493
 
 
 def minor_rank_2x2(entries, p):
@@ -79,9 +77,10 @@ def test_int_array_keeps_integers_exactly():
 
 
 def test_non_integer_moduli_are_refused():
-    # is_prime(3.0) is True, so the check must look at the type first
-    for p in (3.0, "3", None):
-        with pytest.raises(ValueError, match="integer"):
+    # is_prime(3.0) is True and True is an int, so the check must look at
+    # the type first
+    for p in (3.0, "3", None, True, False):
+        with pytest.raises(ValueError, match="modulus must be an integer"):
             check_modulus(p)
     check_modulus(np.int64(3))
 
