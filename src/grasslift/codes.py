@@ -16,8 +16,14 @@ and the isometry report take the block map of length-2 vectors on a
 coefficient array and read Hamming and Bachoc weights off the array and one
 batch_rank of the images.
 
-A code built as linear is certified linear (one rank of its flattened
-words), so its minimum distance is its least nonzero word rank at any size.
+A code built as linear is certified linear, so its minimum distance is its
+least nonzero word rank at any size.  The certificate eliminates only a few
+words: every word is checked against the RREF basis of 2 rho + 1 drawn words
+in one residual pass, the basis is extended from the words outside it (the
+claim fails once its rank exceeds rho), and the words' coordinates in the
+final basis, read as base-p keys, must be a permutation of [0, p^rho).  That
+proves the M = p^rho words distinct and the whole subspace; only a refused
+claim sorts the words to name duplicates.
 A code not known to be linear takes the exhaustive pair scan, each word
 against all later ones, under the pair guard and is refused above it.  The
 rank scans send stacks of at most CHUNK words to matfp.batch_rank.  Both
@@ -32,6 +38,7 @@ runs in the calling thread.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
@@ -144,10 +151,13 @@ class RankMetricCode:
     """A finite set of equal-shape matrices over GF(p) under the rank distance.
 
     ``words`` is one read-only (M, k, l) int64 array of residues mod ``p``,
-    checked here: distinct words and, for a linear code, the zero word,
-    M = p^rho and a GF(p)-subspace, certified by one rank of the flattened
-    words.  The minimum distance is computed on demand by
-    :func:`min_rank_distance` and cached, as are the word ranks.
+    checked here: distinct words by one sort of their bytes or, for a linear
+    code, M = p^rho and a GF(p)-subspace, certified by :func:`_is_subspace`
+    from one row-space basis of the flattened words, which also proves them
+    distinct and the zero word present.  A refused linear claim reports the
+    first failure in the order duplicates, zero word, size, closure.  The
+    minimum distance is computed on demand by :func:`min_rank_distance` and
+    cached, as are the word ranks.
     """
 
     def __init__(self, words, p: int, linear: bool = False, rho: int | None = None):
@@ -155,24 +165,25 @@ class RankMetricCode:
         if not len(words):
             raise ValueError("a code needs at least one word")
         words = int_array(words, 3) % p
-        if has_duplicates(words):
-            raise ValueError("duplicate words")
         if linear:
-            if words.any(axis=(1, 2)).all():
-                raise ValueError("a linear code must contain the zero matrix")
             if rho is None:
                 rho = 0
                 while p**rho < len(words):
                     rho += 1
-            if p**rho != len(words):
-                raise ValueError(
-                    f"linear code size {len(words)} is not a power of p={p}"
-                )
-            # The M = p^rho distinct words lie in their span of p^rank words,
-            # so they are that span exactly when rank = rho.
-            if batch_rank(words.reshape(1, len(words), -1), p)[0] != rho:
+            sized = p**rho == len(words)
+            if not (sized and _is_subspace(words.reshape(len(words), -1), p, rho)):
+                # A refused claim names the first of the plain checks that
+                # fails, in their order: duplicates, zero word, size, closure.
+                if has_duplicates(words):
+                    raise ValueError("duplicate words")
+                if words.any(axis=(1, 2)).all():
+                    raise ValueError("a linear code must contain the zero matrix")
+                if not sized:
+                    raise ValueError(f"linear code size {len(words)} is not a power of p={p}")
                 raise ValueError("a linear code must be closed under addition "
                                  "and scalar multiples")
+        elif has_duplicates(words):
+            raise ValueError("duplicate words")
         words.setflags(write=False)
         self.words, self.p = words, int(p)
         self.nrows, self.ncols = words.shape[1:]
@@ -218,6 +229,56 @@ class RankMetricCode:
             f"RankMetricCode(|C|={len(self.words)}, shape={self.shape}, "
             f"p={self.p}, linear={self.linear})"
         )
+
+
+def _is_subspace(flat: np.ndarray, p: int, rho: int) -> bool:
+    """True iff the M = p^rho rows of ``flat``, entries in [0, p), are exactly
+    a rho-dimensional GF(p)-subspace; no stack of all M rows is eliminated.
+
+    The RREF basis of 2 rho + 1 rows drawn with a fixed seed is checked
+    against every row in one pass: a row w lies in its span iff
+    w[free] = w[pivots] @ basis[:, free] mod p, as the basis is I on its
+    pivot columns.  The rows outside are reduced to their residuals
+    (w - w[pivots] @ basis) % p, the basis is extended by rows drawn from
+    those, and only they are checked again; the claim fails as soon as the
+    rank exceeds rho.  Once every row lies in a span of rank rho, each row is
+    fixed by its coordinates w[pivots], so the M rows are distinct, and hence
+    the whole span, iff those coordinates read as base-p keys are a
+    permutation of [0, p^rho).
+    """
+    # Drawn, not evenly spaced: evenly spaced words of a code listed in the
+    # order of its coefficient vectors, as build_image_code lists them, span
+    # few directions (12 of the (13, 2) image span one).  numpy imports the
+    # stdlib generator itself; numpy.random would add its own import to every
+    # command that loads a code.
+    m, rng = len(flat), random.Random(0)
+    basis, rest = flat[:0], flat
+    while True:
+        new = rest[rng.choices(range(len(rest)), k=2 * rho + 1)]
+        reduced, ranks = batch_rref(np.concatenate([basis, new])[None], p)
+        rank = int(ranks[0])
+        if rank > rho:
+            return False
+        basis = reduced[0, :rank]
+        pivots = (basis != 0).argmax(axis=1) if rank else np.zeros(0, dtype=np.int64)
+        free = np.ones(flat.shape[1], dtype=bool)
+        free[pivots] = False
+        coords = rest[:, pivots]
+        # A product sums rank <= rho residue products, below rho (p - 1)^2,
+        # which int64 holds: for rho = 1 since p <= MAX_MODULUS; for rho >= 2
+        # since (p - 1)^2 < p^rho = M, and rho * M < 64 * M is far below 2^63
+        # for M words held in memory.
+        outside = ((coords @ basis[:, free]) % p != rest[:, free]).any(axis=1)
+        if not outside.any():
+            break
+        rest = rest[outside]
+        rest = (rest - rest[:, pivots] @ basis) % p
+    if rank != rho:
+        return False
+    if rest is not flat:  # the basis was extended: coordinates of every row
+        coords = flat[:, pivots]
+    keys = coords @ p ** np.arange(rho, dtype=np.int64)
+    return bool(np.bincount(keys, minlength=m).min())
 
 
 def _word_ranks(code: RankMetricCode) -> np.ndarray:

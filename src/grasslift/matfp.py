@@ -10,7 +10,8 @@ whole stacks of small matrices; a single matrix is a stack of one.
 the top row's pivot column and sends taller ones to that kernel.  The
 subspace pair scan sends it the remainders of all later words after
 reduction against one word's RREF basis; the rank-metric scan sends it
-chunks of word-pair differences.
+chunks of word-pair differences, and the linearity certificate a basis and
+a few drawn words at a time.
 """
 
 from __future__ import annotations
@@ -217,10 +218,12 @@ def rref_null_space(rows: np.ndarray, p: int) -> np.ndarray:
     no zero row: (B, C - r, C), row i with a 1 at the i-th free column, 0 at the
     other free columns and minus the pivot rows' entries in that column."""
     nbatch, rank, ncols = rows.shape
-    leading = np.diff(np.logical_or.accumulate(rows != 0, axis=2), axis=2, prepend=False)
-    pivots = np.nonzero(leading)[2].reshape(nbatch, rank)
-    free = np.nonzero(~leading.any(axis=1))[1].reshape(nbatch, ncols - rank)
     stacks, kernel_rows = np.arange(nbatch)[:, None], np.arange(ncols - rank)
+    # Each row's first nonzero entry is its pivot; every other column is free.
+    pivots = (rows != 0).argmax(axis=2) if rank else np.zeros((nbatch, 0), dtype=np.int64)
+    is_free = np.ones((nbatch, ncols), dtype=bool)
+    is_free[stacks, pivots] = False
+    free = np.nonzero(is_free)[1].reshape(nbatch, ncols - rank)
     out = np.zeros((nbatch, ncols - rank, ncols), dtype=np.int64)
     out[stacks, kernel_rows, free] = 1
     coeffs = np.take_along_axis(rows, free[:, None, :], axis=2).transpose(0, 2, 1)

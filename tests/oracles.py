@@ -8,6 +8,7 @@ needed by no command; they build on the library's ExtFieldElement and
 ExtVector objects and on the eliminations below.  The writer references
 (the stdlib's indented JSON, the per-row DOT formula and the triu_indices
 adjacency) are what the library's array writers must match byte for byte.
+``random_rref`` draws the random RREF bases that kernel tests feed to both.
 """
 
 import itertools
@@ -62,6 +63,32 @@ def reference_rank(rows, p):
             rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def random_rref(k, n, p, rng):
+    """A random (k, n) RREF basis with no zero row: random pivot columns,
+    random entries right of each pivot outside the pivot columns."""
+    pivots = np.sort(rng.choice(n, size=k, replace=False))
+    basis = rng.integers(0, p, size=(k, n))
+    basis[np.arange(n) < pivots[:, None]] = 0
+    basis[:, pivots] = np.eye(k, dtype=np.int64)
+    return basis
+
+
+def reference_rref_null_space(rows, ncols, p):
+    """Right kernel of one RREF matrix with no zero row, by definition: for
+    each free column f in ascending order, the vector with a 1 at f, 0 at the
+    other free columns and -row[f] at each row's pivot column."""
+    rows = [[int(x) for x in row] for row in rows]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] % p
+        kernel.append(v)
+    return kernel
 
 
 def reference_is_prime(n):

@@ -28,6 +28,7 @@ from grasslift.codes import (
     weight_table_rows,
 )
 from oracles import (
+    LARGEST_PRIME,
     bachoc_weight,
     embed_zeros_even,
     embed_zeros_odd,
@@ -500,23 +501,44 @@ def test_rank_metric_code_validation():
         RankMetricCode(false_linear_words(), 3, linear=True)
     with pytest.raises(ValueError, match="share one shape"):
         RankMetricCode([zero, [[0, 0, 0, 0], [0, 0, 0, 0]]], 2)
+    # A refused linear claim names the first failing check, in the order
+    # duplicates, zero word, size, closure.
+    e11, e12, e21 = [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    with pytest.raises(ValueError, match="duplicate"):
+        RankMetricCode([e11, e11], 2, linear=True)
+    with pytest.raises(ValueError, match="duplicate"):
+        RankMetricCode([e11, e12, e21, e21], 2, linear=True)  # rank 3 > rho = 2
+    with pytest.raises(ValueError, match="duplicate"):
+        RankMetricCode([zero, e11, e11, e12], 2, linear=True)  # rank 2 = rho
+    with pytest.raises(ValueError, match="duplicate"):
+        RankMetricCode([zero, zero, eye], 2, linear=True)
+    with pytest.raises(ValueError, match="zero matrix"):
+        RankMetricCode([e11, e12], 2, linear=True)
+    with pytest.raises(ValueError, match="zero matrix"):
+        RankMetricCode([e11, e12, e21], 2, linear=True)
+    # Words with no entries: one is the zero code, two are equal.
+    assert RankMetricCode(np.zeros((1, 2, 0), dtype=np.int64), 2, linear=True).rho == 0
+    with pytest.raises(ValueError, match="duplicate"):
+        RankMetricCode(np.zeros((2, 0, 3), dtype=np.int64), 2, linear=True)
 
 
 @settings(max_examples=80, deadline=None)
 @given(p=st.sampled_from([2, 3]), k=st.integers(1, 3), l=st.integers(1, 3), data=st.data())
 def test_linearity_certificate_matches_closure_oracle(p, k, l, data):
     """A span of random generators, or that span with one word swapped for a
-    vector outside it, is accepted as linear exactly when the oracle finds
-    it closed under sums and scalar multiples."""
+    vector outside it, in any order, is accepted as linear exactly when the
+    oracle finds it closed under sums and scalar multiples.  Up to five
+    generators give up to 243 words, more than the 2 rho + 1 rows the first
+    basis is drawn from, so the residual pass decides most claims."""
     vector = st.lists(st.integers(0, p - 1), min_size=k * l, max_size=k * l)
-    gens = data.draw(st.lists(vector, max_size=3))
+    gens = data.draw(st.lists(vector, max_size=5))
     span = sorted({tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % p for i in range(k * l))
                    for coeffs in itertools.product(range(p), repeat=len(gens))})
     words = [list(w) for w in span]
     outside = tuple(data.draw(vector))
     if data.draw(st.booleans()) and outside not in span:
         words[data.draw(st.integers(0, len(words) - 1))] = list(outside)
-    words = np.array(words).reshape(-1, k, l)
+    words = np.array(data.draw(st.permutations(words))).reshape(-1, k, l)
     try:
         code = RankMetricCode(words, p, linear=True)
     except ValueError:
@@ -525,6 +547,64 @@ def test_linearity_certificate_matches_closure_oracle(p, k, l, data):
         assert reference_is_linear(words, p)
         assert p ** code.rho == len(words)
         assert code.rho == reference_rank(words.reshape(len(words), -1), p)
+
+
+def record_eliminations(monkeypatch):
+    """The (R, C) matrices codes eliminates from now on, one per batch_rref call."""
+    mats = []
+    monkeypatch.setattr(codes, "batch_rref",
+                        lambda a, p, fn=codes.batch_rref: mats.append(a[0]) or fn(a, p))
+    return mats
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (2, 3)])
+def test_linearity_certificate_extends_a_basis_that_misses_a_direction(monkeypatch, p, r):
+    # The first M / p image words in build order, those with leading
+    # coefficient zero, are a hyperplane of the code.  The rows the first
+    # basis is drawn from depend on M and rho alone, so with hyperplane words
+    # at those positions the first basis misses a direction, the residual
+    # pass finds words outside it and the basis is extended.
+    words, rho = build_image_code(p, r).words, 2 * r
+    m = len(words)
+    drawn = record_eliminations(monkeypatch)
+    RankMetricCode(words, p, linear=True)
+    position = {w.tobytes(): i for i, w in enumerate(words)}
+    first = sorted({position[row.tobytes()] for row in drawn[0]})
+    rest = [i for i in range(m) if i not in first]
+    order = np.empty(m, dtype=np.int64)
+    order[first] = np.arange(len(first))
+    order[rest] = np.arange(len(first), m)
+    shuffled = words[order]
+    drawn.clear()
+    code = RankMetricCode(shuffled, p, linear=True)
+    assert code.rho == rho and reference_is_linear(code.words, p)
+    assert reference_rank(drawn[0].tolist(), p) < rho and len(drawn) >= 2
+    # One word moved off the code where the first basis draws none: refused
+    # once the extended basis exceeds rank rho.
+    bad = shuffled.copy()
+    bad[rest[-1], 0, 0] = (bad[rest[-1], 0, 0] + 1) % p
+    assert bad[rest[-1]].tobytes() not in position
+    drawn.clear()
+    with pytest.raises(ValueError, match="closed under addition"):
+        RankMetricCode(bad, p, linear=True)
+    assert reference_rank(drawn[0].tolist(), p) < rho and len(drawn) >= 2
+
+
+def test_linear_claims_at_large_primes():
+    # Residual products reach rho (p - 1)^2, inside int64 for every code the
+    # constructor can hold: the zero word alone at the largest prime, where
+    # two words are no power of p, and a line of 65,521 words with entries
+    # p - 1.
+    code = RankMetricCode([[[0, 0]]], LARGEST_PRIME, linear=True)
+    assert code.rho == 0
+    with pytest.raises(ValueError, match="power of p"):
+        RankMetricCode([[[0, 0]], [[LARGEST_PRIME - 1, 1]]], LARGEST_PRIME, linear=True)
+    p = 65_521
+    line = np.arange(p)[:, None, None] * np.array([[[p - 1, 1, p - 1]]]) % p
+    assert RankMetricCode(line, p, linear=True).rho == 1
+    line[-1, 0, 1] = 0
+    with pytest.raises(ValueError, match="closed under addition"):
+        RankMetricCode(line, p, linear=True)
 
 
 def test_rank_metric_code_round_trip():

@@ -32,6 +32,7 @@ from oracles import (
     dual_subspace,
     injection_distance,
     intersection_dim,
+    random_rref,
     reference_dumps_with_array,
     reference_intersection_dims,
     reference_points,
@@ -76,16 +77,6 @@ def random_invertible(k, p, rng):
         m = rng.integers(0, p, size=(k, k))
         if reference_rank(m, p) == k:
             return m
-
-
-def random_rref(k, n, p, rng):
-    """A random (k, n) RREF basis with no zero row: random pivot columns,
-    random entries right of each pivot outside the pivot columns."""
-    pivots = np.sort(rng.choice(n, size=k, replace=False))
-    basis = rng.integers(0, p, size=(k, n))
-    basis[np.arange(n) < pivots[:, None]] = 0
-    basis[:, pivots] = np.eye(k, dtype=np.int64)
-    return basis
 
 
 def sub(rows, p):

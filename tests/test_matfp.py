@@ -17,7 +17,8 @@ from grasslift.matfp import (
     rref_null_space,
 )
 
-from oracles import LARGEST_PRIME, reference_rank, reference_rref
+from oracles import (LARGEST_PRIME, random_rref, reference_rank, reference_rref,
+                     reference_rref_null_space)
 
 MERSENNE_31 = 2_147_483_647
 
@@ -313,6 +314,25 @@ def test_batch_rank_matches_scalar_rank(p, nrows, ncols, nstacks, seed):
             for row in mats[b].tolist():
                 assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for v in basis)
     assert np.array_equal(mats, before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 13, LARGEST_PRIME]),
+    ncols=st.integers(0, 8),
+    data=st.data(),
+    nstacks=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_null_space_matches_the_reference_kernel(p, ncols, data, nstacks, seed):
+    # Random RREF stacks of every rank, the empty ones included.
+    rank = data.draw(st.integers(0, ncols))
+    rng = np.random.default_rng(seed)
+    rows = np.array([random_rref(rank, ncols, p, rng) for _ in range(nstacks)],
+                    dtype=np.int64).reshape(nstacks, rank, ncols)
+    kernels = rref_null_space(rows, p)
+    assert kernels.shape == (nstacks, ncols - rank, ncols)
+    assert kernels.tolist() == [reference_rref_null_space(m, ncols, p) for m in rows.tolist()]
 
 
 def two_row_stack(kind, p, ncols, rng, step):
