@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from .codes import (
 from .grassmann import (
     GrassmannianCode,
     anticode_bound,
+    anticode_bound_min_digits,
     anticode_optimal_code,
     code_params,
     dual_code,
@@ -322,11 +324,22 @@ def cmd_graph(p, r, variant, out, adjacency, guard):
               default="subspace", show_default=True)
 def cmd_bound(n, d, k, q, metric):
     """Print the anticode upper bound for the given parameters."""
+    # Python refuses to convert ints of more than this many digits to text
+    # (0: no limit); a bound over it is refused before it is computed.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = f"over the {limit}-digit limit of Python's int-to-str conversion"
     try:
+        digits = anticode_bound_min_digits(n, d, k, q, metric)
+        if limit and digits > limit:
+            raise ValueError(f"the bound has at least {digits} decimal digits, {too_long}")
         value = anticode_bound(n, d, k, q, metric)
     except (ValueError, ArithmeticError) as exc:
         raise click.UsageError(str(exc))
-    click.echo(str(value))
+    try:
+        text = str(value)
+    except ValueError:
+        raise click.UsageError(f"the bound has {value.bit_length()} bits, {too_long}")
+    click.echo(text)
 
 
 @main.command("params")

@@ -28,11 +28,12 @@ A code not known to be linear takes the exhaustive pair scan, each word
 against all later ones, under the pair guard and is refused above it.  The
 rank scans send stacks of at most CHUNK words to matfp.batch_rank.  Both
 derived maps act one coordinate at a time, so every image word is gathered
-from a table of the p^2 single-coordinate blocks, imaged once per call.  A
-word's column space is the sum of its blocks', so the rank histogram and the
-sampled pair scan (on an additive block table, image(u) - image(v) =
-image(u - v)) read ranks from the blocks' column-space classes.  Every scan
-runs in the calling thread.
+from a table of the p^2 single-coordinate blocks, spanned per call from the
+images of 1 and w.  A word's column space is the sum of its blocks', so the
+rank histogram and the sampled pair scan (on an additive block table,
+image(u) - image(v) = image(u - v)) read ranks from the blocks' column-space
+classes; when every nonzero block has rank 2 the sample reads no pair.
+Every scan runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -373,12 +374,18 @@ def build_image_code(p: int, r: int, variant: str = "O") -> RankMetricCode:
 def _blocks(p: int, variant: str) -> np.ndarray:
     """The (p^2, 2, 2) variant images of the single-coordinate vectors of
     GF(p^2), in enumerate_ext_vectors order: the one image map, since every
-    image word is its coordinates' blocks side by side.  Refused when p^2
-    exceeds WORD_GUARD, since every block is built as a scalar object."""
+    image word is its coordinates' blocks side by side.  Both variant maps
+    are GF(p)-linear, so block(a + b*w) = a*block(1) + b*block(w) mod p and
+    only those two are built by variant_image.  Refused when p^2 exceeds
+    WORD_GUARD: the table materializes all p^2 blocks, like a word list
+    under that cap."""
     if p * p > WORD_GUARD:
         raise ValueError(f"p={p} has {p * p} single-coordinate blocks, over the "
                          f"materialization guard ({WORD_GUARD})")
-    return np.stack([variant_image(v, variant).array for v in enumerate_ext_vectors(p, 1)])
+    one, w = (variant_image(ExtVector([ExtFieldElement(a, b, p)]), variant).array
+              for a, b in ((1, 0), (0, 1)))
+    a, b = np.divmod(np.arange(p * p), p)
+    return (a[:, None, None] * one + b[:, None, None] * w) % p
 
 
 def _image_batch(idx: np.ndarray, blocks: np.ndarray, length: int) -> np.ndarray:
@@ -428,9 +435,12 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     """Minimum rank of image(u) - image(v) over a seeded sample of distinct
     vector pairs (u, v); companion check for guard-excluded pairwise scans.
     Refused unless block(a + b*w) = a*block(1) + b*block(w) mod p for all p^2
-    digits; then image(u) - image(v) = image(u - v).  With top the largest and
-    low the least nonzero _block_classes class of the digits of u - v, a pair
-    has rank 2 if top is the plane or low < top, else 1 if top > 0, else 0."""
+    digits; then image(u) - image(v) = image(u - v).  When every nonzero
+    digit's block has rank 2, as for p % 5 in {2, 3}, each distinct pair has
+    a nonzero digit in u - v and so rank 2: the result is 2 and no pair is
+    read.  Otherwise, with top the largest and low the least nonzero
+    _block_classes class of the digits of u - v, a pair has rank 2 if top is
+    the plane or low < top, else 1 if top > 0, else 0."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n_pairs < 1:
@@ -447,12 +457,15 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
     if not keep.any():
         raise ValueError(f"no distinct pair among the n_pairs={n_pairs} drawn; "
                          "raise n_pairs")
-    ia, ib, q = ia[keep], ib[keep], p * p
+    q = p * p
     a, b = np.divmod(np.arange(q), p)
     if not np.array_equal(blocks, (a[:, None, None] * blocks[p]
                                    + b[:, None, None] * blocks[1]) % p):
         raise ValueError(f"the {variant} block map is not additive over GF({p})")
     classes, plane = _block_classes(blocks, p)
+    if (classes[1:] == plane).all():
+        return 2
+    ia, ib = ia[keep], ib[keep]
     # Digit a*p + b spreads to a*2p + b: two spread digits differ by the unique
     # (a1 - a2)*2p + (b1 - b2), and diff_class, offset by 2p^2 + p, holds the
     # class of their difference mod p.  Floor division beats numpy's divmod.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -127,13 +128,9 @@ def enumerate_grassmannian(n: int, k: int, p: int,
     return np.concatenate(cells)
 
 
-def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> int:
-    """Upper bound on the size of a constant-dimension code, as a quotient
-    of Gaussian coefficients (checked to divide exactly).
-
-    For the subspace metric d must be even, d = 2*delta + 2 with
-    0 <= delta < k; for the injection metric 1 <= d <= k.
-    """
+def _anticode_t(n: int, d: int, k: int, q: int, metric: str) -> int:
+    """The t of the anticode bound [n, t]_q / [k, t]_q, after checking the
+    parameters; see :func:`anticode_bound`."""
     if metric == "subspace":
         if d < 2 or d % 2:
             raise ValueError(f"subspace-metric bound needs even d >= 2, got d={d}")
@@ -147,6 +144,39 @@ def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> 
         t = k - d + 1
     else:
         raise ValueError(f"metric must be 'subspace' or 'injection', got {metric!r}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds n={n}: GF(q)^n has no k-dimensional subspace")
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    return t
+
+
+def anticode_bound_min_digits(n: int, d: int, k: int, q: int,
+                              metric: str = "subspace") -> int:
+    """A lower bound on the decimal digits of :func:`anticode_bound` with
+    the same parameters, from the parameters alone, so a caller can refuse a
+    bound too large to print before computing it.
+
+    Factor by factor [n, t]_q >= q^(t (n - t)), and [k, t]_q < 4 q^(t (k - t))
+    since the product of 1 / (1 - q^-j) over j >= 1 is below 3.47 for q >= 2;
+    so the bound exceeds q^(t (n - k)) / 4.
+    """
+    t = _anticode_t(n, d, k, q, metric)
+    # Capping the exponent keeps the float product finite and only lowers
+    # the bound; the relative margin covers its rounding.
+    exponent = min(t * (n - k), 1 << 60)
+    return max(1, math.floor(exponent * math.log10(q) * (1 - 1e-9) - math.log10(4)) + 1)
+
+
+def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> int:
+    """Upper bound on the size of a constant-dimension code, as a quotient
+    of Gaussian coefficients (checked to divide exactly).
+
+    For the subspace metric d must be even, d = 2*delta + 2 with
+    0 <= delta < k; for the injection metric 1 <= d <= k.  Always k <= n
+    and q >= 2.
+    """
+    t = _anticode_t(n, d, k, q, metric)
     num = gaussian_coefficient(n, t, q)
     den = gaussian_coefficient(k, t, q)
     if num % den:

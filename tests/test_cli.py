@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -487,6 +488,53 @@ def test_bound_rejects_bad_parameters(runner):
     result = runner.invoke(main, ["bound", "--n", "4", "--d", "3", "--k", "2",
                                   "--q", "2"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["bound", "--n", "4", "--d", "4", "--k", "5",
+                                  "--q", "2"])
+    assert result.exit_code == 2
+    assert "k=5 exceeds n=4" in result.output
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's int-to-str digit limit, set to its default of 4300."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any size to text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def bound(runner, n, d, k):
+    return runner.invoke(main, ["bound", "--n", str(n), "--d", str(d), "--k", str(k),
+                                "--q", "2"])
+
+
+def test_bound_prints_values_up_to_the_int_str_limit(runner, int_str_limit):
+    # 2^14284 - 1 = [14284, 1]_2 / [1, 1]_2 has exactly 4300 digits.
+    result = bound(runner, 14284, 2, 1)
+    assert result.exit_code == 0
+    assert result.output == str(2**14284 - 1) + "\n"
+    assert len(result.output) == int_str_limit + 1
+    # With the limit lifted, the 4301-digit value refused below prints in full.
+    sys.set_int_max_str_digits(0)
+    result = bound(runner, 14285, 2, 1)
+    assert result.exit_code == 0
+    assert result.output == str(2**14285 - 1) + "\n"
+
+
+def test_bound_refuses_values_over_the_int_str_limit(runner, int_str_limit, monkeypatch):
+    # 2^14285 - 1 has 4301 digits, but its digit bound reads 4300: it is
+    # computed and refused when it is converted to text.
+    result = bound(runner, 14285, 2, 1)
+    assert result.exit_code == 2
+    assert "14285 bits, over the 4300-digit limit" in result.output
+    # Far over the limit the size is refused before any Gaussian coefficient.
+    monkeypatch.setattr(grassmann, "gaussian_coefficient", None)
+    for n, k, digits in ((1000, 500, 75107), (400000, 200000, 12041139608)):
+        result = bound(runner, n, 4, k)
+        assert result.exit_code == 2
+        assert f"at least {digits} decimal digits, over the 4300-digit limit" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,17 @@ def test_vectorized_image_map_matches_built_code_in_order(p, r, variant):
     assert words == [MatrixFp(w, p) for w in build_image_code(p, r, variant).words]
 
 
+@pytest.mark.parametrize("variant", ["O", "E"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 47, 233, 251])
+def test_block_table_matches_the_oracle_map(p, variant):
+    # The table is spanned from the images of 1 and w; every one of its p^2
+    # blocks must be the oracle image of its digit, at non-construction
+    # primes (5, 11) and up to the largest prime under the word guard.
+    blocks = codes._blocks(p, variant)
+    assert blocks.dtype == np.int64 and blocks.shape == (p * p, 2, 2)
+    assert blocks.tolist() == [oracle_image(p, 1, variant, i) for i in range(p * p)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     case=st.sampled_from([(2, 8), (3, 4), (7, 3), (13, 3)]),
@@ -734,10 +745,15 @@ def test_pair_scan_non_linear_codes_of_distance_one_and_two(monkeypatch, chunk):
 @example(p=11, r=2, variant="O", seed=384, n_pairs=1)
 @example(p=11, r=2, variant="E", seed=384, n_pairs=1)
 @example(p=11, r=3, variant="E", seed=389, n_pairs=1)
+# Large construction primes, where every nonzero block has rank 2 and the
+# scan returns without reading a pair.
+@example(p=47, r=1, variant="O", seed=11, n_pairs=500)
+@example(p=233, r=1, variant="E", seed=12, n_pairs=500)
 def test_sampled_scan_matches_the_oracle_on_the_same_draw(p, r, variant, seed, n_pairs):
     # The same two draws as the scan, each pair's difference ranked from the
     # oracle map of indices decoded with Python ints.  At p = 5 and 11 the
-    # image has rank-1 words, so the line classes decide some pairs.
+    # image has rank-1 words, so the line classes decide some pairs; at the
+    # construction primes no pair is read.
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, p ** (2 * r), size=n_pairs).tolist()
     ib = rng.integers(0, p ** (2 * r), size=n_pairs).tolist()
@@ -767,6 +783,26 @@ def test_sampled_scan_refuses_a_block_table_that_is_not_additive(monkeypatch, p,
             sample_image_pair_min_rank(p, 2, variant, 3, seed=d)
     monkeypatch.setattr(codes, "_blocks", lambda p, variant: true)
     assert sample_image_pair_min_rank(p, 2, variant, 3) == expected
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_sampled_scan_reads_the_pairs_of_a_table_with_a_kernel(monkeypatch, p):
+    # block(a + b*w) = (a + b) M with M of rank 2 is additive, and every block
+    # outside its kernel a + b = 0 has rank 2, yet a pair whose difference
+    # lies in the kernel has rank 0: the scan may skip the pairs only when no
+    # nonzero digit has the zero block.
+    m = np.array([[1, 0], [0, 1]])
+    a, b = np.divmod(np.arange(p * p), p)
+    table = (a + b)[:, None, None] * m % p
+    monkeypatch.setattr(codes, "_blocks", lambda p, variant: table)
+    classes, plane = codes._block_classes(table, p)
+    assert plane == 1 and (classes == 0).sum() == p
+    rng = np.random.default_rng(0)
+    ia, ib = (rng.integers(0, p * p, size=300) for _ in range(2))
+    keep = ia != ib
+    in_kernel = ((a + b)[ia[keep]] - (a + b)[ib[keep]]) % p == 0
+    assert in_kernel.any() and not in_kernel.all()
+    assert sample_image_pair_min_rank(p, 1, "O", 300, seed=0) == 0
 
 
 @pytest.mark.parametrize("scan", [image_rank_counts, sample_image_pair_min_rank])

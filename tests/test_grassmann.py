@@ -12,6 +12,7 @@ from grasslift.matfp import batch_rref
 from grasslift.grassmann import (
     GrassmannianCode,
     anticode_bound,
+    anticode_bound_min_digits,
     anticode_optimal_code,
     code_params,
     compare_variant_codes,
@@ -369,6 +370,36 @@ def test_anticode_bound_divisibility_on_construction_ranges():
         for k in (1, 2, 3):
             for n in (2 * k, 3 * k, 4 * k):
                 assert anticode_bound(n, 2 * k, k, q, "subspace") >= 1
+
+
+def test_anticode_bound_refuses_k_above_n():
+    # Refused before the Gaussian coefficients, whose quotient [n, t] / [k, t]
+    # is below 1 for k > n, and named as such rather than as a non-integer.
+    for metric, d in (("subspace", 4), ("injection", 2)):
+        with pytest.raises(ValueError, match=r"k=5 exceeds n=4"):
+            anticode_bound(4, d, 5, 2, metric)
+        with pytest.raises(ValueError, match=r"k=5 exceeds n=4"):
+            anticode_bound_min_digits(4, d, 5, 2, metric)
+
+
+def test_anticode_bound_min_digits_is_a_lower_bound():
+    # Never above the bound's decimal digit count, and within two digits of it.
+    for q in (2, 3, 4, 7, 251):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                for metric, ds in (("subspace", range(2, 2 * k + 1, 2)),
+                                   ("injection", range(1, k + 1))):
+                    for d in ds:
+                        try:
+                            digits = len(str(anticode_bound(n, d, k, q, metric)))
+                        except ArithmeticError:
+                            continue
+                        low = anticode_bound_min_digits(n, d, k, q, metric)
+                        assert digits - 2 <= low <= digits, (n, d, k, q, metric)
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        anticode_bound_min_digits(4, 4, 2, 1)
+    # Huge parameters take no time and no float overflow.
+    assert anticode_bound_min_digits(10**400, 4, 10**399, 2) > 10**17
 
 
 def test_anticode_bound_rejects_non_integral_quotients():
