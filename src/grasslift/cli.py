@@ -105,6 +105,8 @@ def _load_code_file(path: str):
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read code file {path}: {exc}")
+    if not isinstance(data, dict):
+        raise click.UsageError(f"malformed code file {path}: the top level is not a JSON object")
     try:
         if "n" in data and "provenance" in data:
             return "grassmann", GrassmannianCode.from_dict(data)
@@ -175,7 +177,7 @@ def cmd_construct(p, r, variant, out, guard):
     )
     claimed = code.provenance["claimed"]
     claimed_tuple = (claimed["n"], claimed["M"], claimed["d"], claimed["k"])
-    computed_tuple = code_params(code, pair_guard=guard)
+    computed_tuple = code_params(code)
     report.add("params (n,M,d,k)", claimed_tuple, computed_tuple)
     bound = anticode_bound(code.n, 4, 2, p, "subspace")
     report.add("anticode bound attained", bound, code.M)
@@ -187,41 +189,40 @@ def cmd_construct(p, r, variant, out, guard):
 
 def _verify_grassmann(code: GrassmannianCode, checks, guard, report: RunReport):
     claimed = code.provenance.get("claimed", {})
+    # Refusals that need no scan come first, in the order of the checks.
+    for check in checks:
+        if check not in GRASSMANN_CHECKS:
+            raise click.UsageError(f"the {check} check applies to matrix codes, not subspace codes")
+        if check == "distance" and "d" not in claimed:
+            raise click.UsageError("distance check needs a claimed d in the file's provenance")
+    # The one pair scan under --guard; every check below reads it.
+    code.intersection_dims(guard)
     for check in checks:
         if check == "distance":
-            if "d" not in claimed:
-                raise click.UsageError(
-                    "distance check needs a claimed d in the file's provenance"
-                )
-            computed = min_subspace_distance(code, pair_guard=guard)
-            report.add("distance", claimed["d"], computed)
+            report.add("distance", claimed["d"], min_subspace_distance(code))
         elif check == "anticode":
-            d = min_subspace_distance(code, pair_guard=guard)
+            d = min_subspace_distance(code)
             bound = anticode_bound(code.n, d, code.k, code.p, "subspace")
             report.add("anticode bound attained", bound, code.M)
         elif check == "dual":
-            min_subspace_distance(code, pair_guard=guard)
             dual = dual_code(code, pair_guard=guard)
             ok_params = (
                 dual.n == code.n
                 and dual.M == code.M
-                and dual.d == code.d
+                # min_subspace_distance refuses one word, as distance and anticode do
+                and dual.d == min_subspace_distance(code)
                 and dual.k == code.n - code.k
             )
             ok_involution = np.array_equal(dual_bases(dual.words, dual.p), code.words)
             report.add("dual (n,M,d) preserved, k complemented", True, bool(ok_params))
             report.add("dual involution", True, bool(ok_involution))
-        elif check == "graph":
-            g = intersection_graph(code, pair_guard=guard)
+        else:
+            g = intersection_graph(code)
             m = g.n_vertices
             report.add("graph complete", True, is_complete(g))
             report.add("graph edges", m * (m - 1) // 2, g.n_edges)
             degrees = set(degree_sequence(g))
             report.add("graph degrees", {m - 1}, degrees)
-        else:
-            raise click.UsageError(
-                f"the {check} check applies to matrix codes, not subspace codes"
-            )
 
 
 def _verify_matrix(code: RankMetricCode, checks, guard, report: RunReport):
@@ -295,7 +296,7 @@ def cmd_graph(p, r, variant, out, adjacency, guard):
     OutPath().convert(out + ".json", None, click.get_current_context())
     try:
         code = anticode_optimal_code(p, r, variant, pair_guard=guard)
-        g = intersection_graph(code, pair_guard=guard)
+        g = intersection_graph(code)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     report = RunReport(
@@ -353,7 +354,8 @@ def cmd_params(code_path, guard):
         raise click.UsageError("params applies to subspace code files")
     report = RunReport("params", {"file": code_path})
     try:
-        n, m, d, k = code_params(code, pair_guard=guard)
+        code.intersection_dims(guard)
+        n, m, d, k = code_params(code)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     click.echo(f"n={n} M={m} d={d} k={k} q={code.p}")

@@ -12,9 +12,9 @@ and ``even_zero_image`` places zeros in the even slots (block
 [[a, b], [b, a+b]]).  For primes p with p % 5 in {2, 3} every nonzero image
 of either derived map has rank 2, which makes their full images linear
 rank-metric codes that meet the Singleton bound exactly.  The weight tables
-and the isometry report take the block map of length-2 vectors on a
-coefficient array and read Hamming and Bachoc weights off the array and one
-batch_rank of the images.
+and the isometry report add the E block of a length-2 vector's first
+coordinate to the O block of its second, and read Hamming and Bachoc weights
+off the coefficients and one batch_rank of the images.
 
 A code built as linear is certified linear, so its minimum distance is its
 least nonzero word rank at any size.  The certificate eliminates only a few
@@ -52,6 +52,7 @@ from .matfp import (MatrixFp, batch_rank, batch_rref, check_modulus, has_duplica
 WORD_GUARD = 1 << 16
 PAIR_GUARD = 1 << 24
 DEFAULT_SAMPLE_PAIRS = 100_000
+ISOMETRY_GUARD = 1 << 20  # cap on the p^4 vectors of the isometry scan
 CHUNK = 1 << 14
 
 VARIANTS = ("O", "E")
@@ -161,16 +162,13 @@ class RankMetricCode:
     cached, as are the word ranks.
     """
 
-    def __init__(self, words, p: int, linear: bool = False, rho: int | None = None):
+    def __init__(self, words, p: int, linear: bool = False):
         check_modulus(p)
         if not len(words):
             raise ValueError("a code needs at least one word")
         words = int_array(words, 3) % p
+        rho = next(e for e in itertools.count() if p**e >= len(words)) if linear else None
         if linear:
-            if rho is None:
-                rho = 0
-                while p**rho < len(words):
-                    rho += 1
             sized = p**rho == len(words)
             if not (sized and _is_subspace(words.reshape(len(words), -1), p, rho)):
                 # A refused claim names the first of the plain checks that
@@ -189,7 +187,7 @@ class RankMetricCode:
         self.words, self.p = words, int(p)
         self.nrows, self.ncols = words.shape[1:]
         self.linear = linear
-        self.rho = rho if linear else None
+        self.rho = rho
         self._delta: int | None = None
         self._ranks: np.ndarray | None = None
 
@@ -368,7 +366,7 @@ def build_image_code(p: int, r: int, variant: str = "O") -> RankMetricCode:
             "use image_rank_counts and sample_image_pair_min_rank"
         )
     words = _image_batch(np.arange(n_words), _blocks(p, variant), r)
-    return RankMetricCode(words, p, linear=True, rho=2 * r)
+    return RankMetricCode(words, p, linear=True)
 
 
 def _blocks(p: int, variant: str) -> np.ndarray:
@@ -482,28 +480,28 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
 
 def _weight_scan(p: int, count: int):
     """The first ``count`` vectors of (GF(p^2))^2 in enumerate_ext_vectors
-    order as a (count, 2, 2) coefficient array, with their block images
-    [[a + d, b + c], [b + c + d, a + b + d]] (coordinates (a + b*w, c + d*w)),
-    Hamming weights, image ranks by one batch_rank, and Bachoc weights
-    (0 for the zero matrix, 1 for an invertible one, p otherwise)."""
+    order as a (count, 2, 2) coefficient array, with their block images (the
+    E block of the first coordinate, index i // p^2, plus the O block of the
+    second, i % p^2), Hamming weights, image ranks by one batch_rank, and
+    Bachoc weights (0 for the zero matrix, 1 for an invertible one, p otherwise)."""
     place = p ** np.arange(3, -1, -1, dtype=np.int64)
-    coeffs = (np.arange(count, dtype=np.int64)[:, None] // place % p).reshape(-1, 2, 2)
-    a, b, c, d = coeffs.reshape(-1, 4).T
-    images = np.stack([a + d, b + c, b + c + d, a + b + d], axis=1).reshape(-1, 2, 2) % p
+    idx = np.arange(count, dtype=np.int64)
+    coeffs = (idx[:, None] // place % p).reshape(-1, 2, 2)
+    images = (_blocks(p, "E")[idx // p**2] + _blocks(p, "O")[idx % p**2]) % p
     ranks = batch_rank(images, p)
     hamming = coeffs.any(axis=2).sum(axis=1)
     bachoc = np.array([0, p, 1])[ranks]
     return coeffs, images, hamming, ranks, bachoc
 
 
-def isometry_counterexamples(p: int, guard: int = 1 << 20) -> list[ExtVector]:
+def isometry_counterexamples(p: int) -> list[ExtVector]:
     """All length-2 vectors whose Hamming weight differs from the Bachoc
     weight of their matrix image; an empty list certifies the isometry.
 
-    Exhaustive over all p^4 vectors, so p is capped by ``guard``.
+    Exhaustive over all p^4 vectors, so p^4 is capped by ISOMETRY_GUARD.
     """
-    if p**4 > guard:
-        raise ValueError(f"p^4 = {p**4} exceeds the scan guard ({guard})")
+    if p**4 > ISOMETRY_GUARD:
+        raise ValueError(f"p^4 = {p**4} exceeds the scan guard ({ISOMETRY_GUARD})")
     coeffs, _, hamming, _, bachoc = _weight_scan(p, p**4)
     return [ExtVector.from_pairs(pairs, p) for pairs in coeffs[hamming != bachoc].tolist()]
 

@@ -11,12 +11,17 @@ prime modulus.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
+
+import numpy as np
 
 
 # Miller-Rabin on the first 13 prime bases is exact below psi_13, this bound.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# The largest modulus whose residue products (p - 1)^2 fit in int64.
+MAX_MODULUS = 3_037_000_499
 
 
 @lru_cache(maxsize=None)
@@ -55,20 +60,29 @@ def require_construction_prime(p: int) -> None:
         )
 
 
-def _check_modulus(p: int) -> None:
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is an integer prime no larger than MAX_MODULUS."""
+    # bool is an int subclass: refuse it here rather than as "not prime".
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+        raise ValueError(f"modulus must be an integer, got {p!r}")
+    # The ceiling comes first: it refuses every p the int64 kernels cannot hold.
+    if p > MAX_MODULUS:
+        raise ValueError(f"modulus {p} exceeds the int64 ceiling {MAX_MODULUS}")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 
 
 class ExtFieldElement:
-    """Element a + b*w of GF(p^2), reduced with w^2 = 1 - w."""
+    """Element a + b*w of GF(p^2), reduced with w^2 = 1 - w; p, a and b are
+    taken through operator.index, so floats are refused and products exact."""
 
     __slots__ = ("a", "b", "p")
 
     def __init__(self, a: int, b: int, p: int):
-        _check_modulus(p)
-        self.a = a % p
-        self.b = b % p
+        check_modulus(p)
+        p = operator.index(p)
+        self.a = operator.index(a) % p
+        self.b = operator.index(b) % p
         self.p = p
 
     def _coerce(self, other):

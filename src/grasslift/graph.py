@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import PAIR_GUARD
 from .grassmann import GrassmannianCode, dumps_with_array
 
 # DOT labels write each basis entry as one hex digit.
@@ -51,12 +50,13 @@ class CodeGraph:
         return f"CodeGraph(vertices={self.n_vertices}, edges={self.n_edges})"
 
 
-def intersection_graph(code: GrassmannianCode,
-                       pair_guard: int = PAIR_GUARD) -> CodeGraph:
-    """Graph with an edge {i, j} iff words i and j intersect trivially."""
+def intersection_graph(code: GrassmannianCode) -> CodeGraph:
+    """Graph with an edge {i, j} iff words i and j intersect trivially, read
+    off the code's pair scan (GrassmannianCode.intersection_dims)."""
+    trivial = code.intersection_dims() == 0
     adjacency = np.zeros((code.M, code.M), dtype=bool)
     # A boolean mask assigns in row-major order, which is triu order.
-    adjacency[np.triu(np.ones_like(adjacency), 1)] = code.intersection_dims(pair_guard) == 0
+    adjacency[np.triu(np.ones_like(adjacency), 1)] = trivial
     adjacency |= adjacency.T
     return CodeGraph(code.words, code.p, adjacency)
 

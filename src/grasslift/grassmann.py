@@ -98,8 +98,7 @@ def gaussian_coefficient(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_grassmannian(n: int, k: int, p: int,
-                           guard: int = ENUMERATION_GUARD) -> np.ndarray:
+def enumerate_grassmannian(n: int, k: int, p: int) -> np.ndarray:
     """All k-dimensional subspaces of GF(p)^n as one (N, k, n) array of RREF bases.
 
     Writes the RREF cells directly: a pivot-column choice plus all fillings
@@ -109,8 +108,8 @@ def enumerate_grassmannian(n: int, k: int, p: int,
     check_modulus(p)
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if p**n > guard:
-        raise ValueError(f"p^n = {p**n} exceeds the enumeration guard ({guard})")
+    if p**n > ENUMERATION_GUARD:
+        raise ValueError(f"p^n = {p**n} exceeds the enumeration guard ({ENUMERATION_GUARD})")
     cells = []
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
@@ -234,10 +233,10 @@ class GrassmannianCode:
 
     ``words`` is one read-only (M, k, n) int64 array, each word its RREF
     basis with no zero row; the constructor refuses any other stack and
-    duplicate words.  ``d`` caches the minimum subspace distance when it has
-    been computed; codes loaded from files carry d=None until a scan
-    recomputes it.  ``provenance`` is a free-form descriptor of how the code
-    was built, including the parameters it claims.
+    duplicate words.  ``d`` is read off the one pair scan (intersection_dims):
+    2(k - the largest pair intersection) once it has run, else None, as for
+    M < 2.  ``provenance`` is a free-form descriptor of how the code was
+    built, including the parameters it claims.
     """
 
     def __init__(self, words, p: int, provenance: dict | None = None):
@@ -251,7 +250,6 @@ class GrassmannianCode:
         words.setflags(write=False)
         self.words, self.p = words, int(p)
         _, self.k, self.n = words.shape
-        self.d = None
         self.provenance = dict(provenance or {})
         self._inters = None
 
@@ -259,17 +257,23 @@ class GrassmannianCode:
     def M(self) -> int:
         return len(self.words)
 
+    @property
+    def d(self) -> int | None:
+        if self._inters is None or self.M < 2:
+            return None
+        return 2 * (self.k - int(self._inters.max()))
+
     def intersection_dims(self, pair_guard: int = PAIR_GUARD) -> np.ndarray:
-        """Intersection dimensions of all word pairs (triu order), scanned
-        once by :func:`pairwise_intersection_dims`; every check reads them."""
+        """Intersection dimensions of all word pairs (triu order), scanned once
+        by :func:`pairwise_intersection_dims` under ``pair_guard``; later calls reuse it."""
         if self._inters is None:
             self._inters = pairwise_intersection_dims(self.words, self.p, pair_guard)
             self._inters.setflags(write=False)
         return self._inters
 
     def summary(self) -> str:
-        d = self.d if self.d is not None else "?"
-        return f"n={self.n} M={self.M} d={d} k={self.k} q={self.p}"
+        d = self.d
+        return f"n={self.n} M={self.M} d={'?' if d is None else d} k={self.k} q={self.p}"
 
     def _header(self) -> dict:
         return {"p": self.p, "n": self.n, "k": self.k, "provenance": self.provenance}
@@ -423,30 +427,22 @@ def _reduction_scan(bases: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def min_subspace_distance(code: GrassmannianCode,
-                          pair_guard: int = PAIR_GUARD) -> int:
-    """Minimum subspace distance from the code's pair scan; caches code.d."""
+def min_subspace_distance(code: GrassmannianCode) -> int:
+    """Minimum subspace distance, code.d; an unscanned code is scanned under the
+    default guard (scan first with code.intersection_dims(guard) to raise it)."""
     if code.M < 2:
         raise ValueError("minimum distance needs at least two words")
-    code.d = 2 * (code.k - int(code.intersection_dims(pair_guard).max()))
+    code.intersection_dims()
     return code.d
 
 
-def code_params(code: GrassmannianCode,
-                pair_guard: int = PAIR_GUARD) -> tuple[int, int, int, int]:
-    """(n, M, d, k) with d read from the code's pair scan; the constructor
-    has already checked that the M words are distinct.
-
-    Raises if a cached minimum distance disagrees with the scan.
-    """
-    cached = code.d
-    d = min_subspace_distance(code, pair_guard)
-    if cached is not None and cached != d:
-        raise ValueError(f"cached minimum distance {cached} != recomputed {d}")
-    return (code.n, code.M, d, code.k)
+def code_params(code: GrassmannianCode) -> tuple[int, int, int, int]:
+    """(n, M, d, k) with d from :func:`min_subspace_distance`; the constructor
+    has already checked that the M words are distinct."""
+    return (code.n, code.M, min_subspace_distance(code), code.k)
 
 
-def lift_code(code: RankMetricCode, pair_guard: int = PAIR_GUARD) -> GrassmannianCode:
+def lift_code(code: RankMetricCode) -> GrassmannianCode:
     """Row spaces of the lifted words (I_k | A), as a Grassmannian code.
 
     For a linear [k x l, rho, delta] input the result is a
@@ -470,7 +466,7 @@ def lift_code(code: RankMetricCode, pair_guard: int = PAIR_GUARD) -> Grassmannia
     if lifted.M != claimed["M"]:
         raise RuntimeError(f"lift produced {lifted.M} words, expected {claimed['M']}")
     if delta is not None:
-        d = min_subspace_distance(lifted, pair_guard)
+        d = min_subspace_distance(lifted)
         if d != claimed["d"]:
             raise RuntimeError(f"lifted code distance {d} != 2*delta = {claimed['d']}")
     return lifted
@@ -517,17 +513,17 @@ def anticode_optimal_code(p: int, r: int, variant: str = "O",
     )
     if code.M != m_claim:
         raise RuntimeError(f"built {code.M} words, expected {m_claim}")
-    d = min_subspace_distance(code, pair_guard)
-    if d != 4:
-        raise RuntimeError(f"minimum distance {d} != 4")
+    code.intersection_dims(pair_guard)
+    if code.d != 4:
+        raise RuntimeError(f"minimum distance {code.d} != 4")
     return code
 
 
 def dual_code(code: GrassmannianCode, pair_guard: int = PAIR_GUARD) -> GrassmannianCode:
     """Orthogonal complements of every word, distance recomputed pairwise.
 
-    Size is preserved and dimension becomes n - k; the minimum distance is
-    verified to match the original whenever the original carries one.
+    Size is preserved and dimension becomes n - k; the dual is scanned under
+    ``pair_guard`` and must match the original's distance if that was scanned.
     """
     claimed = {
         "n": code.n,
@@ -543,22 +539,20 @@ def dual_code(code: GrassmannianCode, pair_guard: int = PAIR_GUARD) -> Grassmann
             "claimed": claimed,
         },
     )
-    if out.M >= 2:
-        d = min_subspace_distance(out, pair_guard)
-        if code.d is not None and d != code.d:
-            raise RuntimeError(f"dual distance {d} != original {code.d}")
+    out.intersection_dims(pair_guard)
+    if code.d is not None and out.d != code.d:
+        raise RuntimeError(f"dual distance {out.d} != original {code.d}")
     return out
 
 
-def compare_variant_codes(p: int, r: int,
-                          pair_guard: int = PAIR_GUARD) -> dict:
+def compare_variant_codes(p: int, r: int) -> dict:
     """Set relationship between the two variant constructions at (p, r).
 
     Reports only; neither equality nor difference is asserted anywhere.
     Words are listed as their RREF bases.
     """
-    code_o = anticode_optimal_code(p, r, "O", pair_guard)
-    code_e = anticode_optimal_code(p, r, "E", pair_guard)
+    code_o = anticode_optimal_code(p, r, "O")
+    code_e = anticode_optimal_code(p, r, "E")
     set_o, set_e = ({str(w) for w in code.words.tolist()} for code in (code_o, code_e))
     return {
         "identical": set_o == set_e,

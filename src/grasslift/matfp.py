@@ -18,24 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import is_prime
+from .gf import MAX_MODULUS, check_modulus
 
-# The largest modulus whose residue products (p - 1)^2 fit in int64.
-MAX_MODULUS = 3_037_000_499
 # Stacks eliminated together by batch_rref; bounds its temporaries.
 RREF_CHUNK = 256
-
-
-def check_modulus(p: int) -> None:
-    """Raise ValueError unless p is an integer prime no larger than MAX_MODULUS."""
-    # bool is an int subclass: refuse it here rather than as "not prime".
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-        raise ValueError(f"modulus must be an integer, got {p!r}")
-    # The ceiling comes first: it refuses every p the int64 kernels cannot hold.
-    if p > MAX_MODULUS:
-        raise ValueError(f"modulus {p} exceeds the int64 ceiling {MAX_MODULUS}")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
 
 
 def int_array(entries, ndim: int) -> np.ndarray:

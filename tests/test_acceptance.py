@@ -201,7 +201,6 @@ def test_p2_r2():
     inters = pairwise_intersection_dims(code.words, code.p)
     assert inters.size == 210
     assert (inters == 0).all()
-    code.d = None
     assert min_subspace_distance(code) == 4
     assert code.M == anticode_bound(6, 4, 2, 2, "subspace") == 21
     assert anticode_bound(4, 4, 2, 2, "subspace") == 5  # 21 planes cannot fit in GF(2)^4

@@ -159,6 +159,27 @@ def test_verify_mrd_inapplicable_to_subspace_codes(runner, tmp_path):
     assert "matrix codes" in result.output
 
 
+@pytest.mark.parametrize("checks", ["mrd", "distance,mrd"])
+def test_verify_refuses_an_inapplicable_check_before_the_scan(runner, tmp_path, scans, checks):
+    # The one pair scan runs after every refusal that needs none, so a
+    # lowered guard does not hide the check's name.
+    _, out = construct(runner, tmp_path, p=2, r=2)
+    scans.clear()
+    result = runner.invoke(main, ["verify", str(out), "--checks", checks, "--guard", "1"])
+    assert result.exit_code == 2
+    assert "the mrd check applies to matrix codes" in result.output
+    assert not scans
+
+
+@pytest.mark.parametrize("checks", ["distance", "anticode", "dual"])
+def test_verify_refuses_the_distance_of_a_single_word(runner, tmp_path, checks):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(_subspace_file([E12], provenance={"claimed": {"d": 4}})))
+    result = runner.invoke(main, ["verify", str(path), "--checks", checks])
+    assert result.exit_code == 2, result.output
+    assert "minimum distance needs at least two words" in result.output
+
+
 def test_verify_matrix_code_file(runner, tmp_path):
     code = build_image_code(3, 1, "O")
     path = tmp_path / "image.json"
@@ -336,6 +357,19 @@ def test_malformed_code_files_exit_2_without_traceback(runner, tmp_path, name):
         assert result.exit_code == 2, (args[0], result.output)
         assert isinstance(result.exception, SystemExit), (args[0], result.exception)
         assert "malformed code file" in result.output
+        assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("data", ["n provenance", ["n", "provenance"]], ids=["string", "list"])
+def test_non_object_code_files_exit_2_without_traceback(runner, tmp_path, data):
+    # Both hold "n" and "provenance", the keys that mark a subspace file.
+    path = tmp_path / "o.json"
+    path.write_text(json.dumps(data))
+    for command in ("verify", "params"):
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2, (command, result.output)
+        assert isinstance(result.exception, SystemExit), (command, result.exception)
+        assert "the top level is not a JSON object" in result.output
         assert "Traceback" not in result.output
 
 

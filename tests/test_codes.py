@@ -432,7 +432,7 @@ def test_isometry_report_p3_contains_specific_counterexample():
     assert hamming_weight(witness) == 2
 
 
-@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_isometry_report_matches_scalar_oracle(p):
     # The report reads weights off coefficient arrays and one batch_rank;
     # the oracle takes each vector's scalar image and weights one by one.

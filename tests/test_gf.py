@@ -1,10 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grasslift import gf, matfp
 from grasslift.gf import (
     ExtFieldElement,
+    MAX_MODULUS,
     MR_EXACT_BELOW,
     is_construction_prime,
     is_prime,
@@ -121,6 +124,37 @@ def test_inverse_errors():
 def test_modulus_mismatch():
     with pytest.raises(ValueError, match="modulus mismatch"):
         ExtFieldElement(1, 0, 2) * ExtFieldElement(1, 0, 3)
+
+
+def test_float_coefficients_are_refused():
+    # a % p would keep a float: 1.5 % 2 reads 1.5
+    for a, b in ((1.5, 0), (0, 1.0)):
+        with pytest.raises(TypeError):
+            ExtFieldElement(a, b, 2)
+
+
+def test_float_modulus_is_refused():
+    # is_prime(2.0) is True, and 1 % 2.0 would read 1.0
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        ExtFieldElement(1, 1, 2.0)
+
+
+def test_prime_modulus_above_the_int64_ceiling_is_refused():
+    # 3,037,000,507 is prime, and the first prime above MAX_MODULUS
+    assert is_prime(3_037_000_507) and MAX_MODULUS < 3_037_000_507
+    with pytest.raises(ValueError, match="int64 ceiling"):
+        ExtFieldElement(1, 0, 3_037_000_507)
+
+
+def test_numpy_integers_are_taken_as_python_ints():
+    x = ExtFieldElement(np.int64(2), np.int64(1), np.int64(3))
+    assert all(type(v) is int for v in (x.a, x.b, x.p))
+    assert x == ExtFieldElement(2, 1, 3)
+
+
+def test_matfp_reads_the_modulus_check_from_gf():
+    assert matfp.check_modulus is gf.check_modulus
+    assert matfp.MAX_MODULUS == gf.MAX_MODULUS
 
 
 def _axioms_hold(x, y, z, one):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from grasslift import grassmann
 from grasslift.codes import RankMetricCode, build_image_code
+from grasslift.graph import intersection_graph, is_complete
 from grasslift.matfp import batch_rref
 from grasslift.grassmann import (
     GrassmannianCode,
@@ -587,13 +588,6 @@ def test_code_container_validation():
         GrassmannianCode(np.zeros((1, 2, 0), dtype=np.int64), 2)
 
 
-def test_code_params_detects_stale_cache():
-    code = anticode_optimal_code(2, 1, "O")
-    code.d = 6
-    with pytest.raises(ValueError, match="cached minimum distance"):
-        code_params(code)
-
-
 def test_code_params_needs_two_words():
     single = GrassmannianCode([span([[1, 0]], 2)], 2)
     with pytest.raises(ValueError, match="two words"):
@@ -602,9 +596,58 @@ def test_code_params_needs_two_words():
 
 def test_min_subspace_distance_caches():
     code = anticode_optimal_code(3, 1, "O")
-    code.d = None
     assert min_subspace_distance(code) == 4
     assert code.d == 4
+
+
+def test_d_is_read_off_the_scan_and_cannot_be_set():
+    built = anticode_optimal_code(2, 1)
+    code = GrassmannianCode(built.words, built.p)
+    assert code.d is None and "d=?" in code.summary()
+    with pytest.raises(AttributeError):
+        code.d = 4
+    code.intersection_dims()
+    assert code.d == 4 and "d=4" in code.summary()
+    single = GrassmannianCode(built.words[:1], built.p)
+    assert single.intersection_dims().size == 0 and single.d is None
+
+
+# The 8191 points of PG(12, 2) as lines of GF(2)^13: 33,542,145 pairs, over
+# the default guard, and a point scan with no collision.
+POINTS_13 = (13, 8191, 2, 1)
+
+
+@pytest.mark.parametrize("reader", [min_subspace_distance, code_params, intersection_graph])
+def test_unscanned_code_over_the_default_guard_is_refused_by_its_first_reader(reader):
+    code = GrassmannianCode(enumerate_grassmannian(13, 1, 2), 2)
+    with pytest.raises(ValueError, match="exceed the guard"):
+        reader(code)
+    assert code.d is None
+
+
+def test_readers_take_no_guard_once_the_code_is_scanned(monkeypatch):
+    code = GrassmannianCode(enumerate_grassmannian(13, 1, 2), 2)
+    code.intersection_dims(1 << 26)
+    assert min_subspace_distance(code) == 2 and code.d == 2
+    assert code_params(code) == POINTS_13
+    # No reader scans again: the graph of a smaller scanned code included.
+    small = GrassmannianCode(anticode_optimal_code(2, 2).words, 2)
+    small.intersection_dims(210)
+    calls = []
+    monkeypatch.setattr(grassmann, "pairwise_intersection_dims",
+                        lambda *args: calls.append(args))
+    assert code_params(small) == (6, 21, 4, 2)
+    assert is_complete(intersection_graph(small))
+    assert code_params(code) == POINTS_13 and not calls
+
+
+def test_builders_scan_under_their_guard():
+    # Each builder scans what it builds under the guard it is given.
+    code = anticode_optimal_code(2, 2, pair_guard=210)
+    assert code.d == 4
+    with pytest.raises(ValueError, match="exceed the guard"):
+        dual_code(code, pair_guard=209)
+    assert dual_code(code, pair_guard=210).d == 4
 
 
 def test_pairwise_guard():
