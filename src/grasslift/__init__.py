@@ -3,7 +3,7 @@ and of the anticode-optimal constant-dimension subspace codes lifted from them.
 
 Everything is computed in exact arithmetic and every claimed property
 (minimum distances, Singleton and anticode bounds, duality, complete-graph
-structure) is re-verified by exhaustive or explicitly-sampled computation.
+structure) is re-verified by exact, exhaustive computation.
 """
 
 from .gf import (

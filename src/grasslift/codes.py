@@ -30,10 +30,10 @@ rank scans send stacks of at most CHUNK words to matfp.batch_rank.  Both
 derived maps act one coordinate at a time, so every image word is gathered
 from a table of the p^2 single-coordinate blocks, spanned per call from the
 images of 1 and w.  A word's column space is the sum of its blocks', so the
-rank histogram and the sampled pair scan (on an additive block table,
-image(u) - image(v) = image(u - v)) read ranks from the blocks' column-space
-classes; when every nonzero block has rank 2 the sample reads no pair.
-Every scan runs in the calling thread.
+rank histogram reads ranks from the blocks' column-space classes, and the
+image pair minimum, on an additive block table where image(u) - image(v) =
+image(u - v), is the least rank of a nonzero block.  Every scan is exact and
+runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from .matfp import (MatrixFp, batch_rank, batch_rref, check_modulus, has_duplica
                     int_array)
 
 # Materialization cap for explicit word lists and cap on exhaustive pairwise
-# scans; larger images go through the histogram and the sampled pair scan.
+# scans; larger images go through the histogram and the block-rank pair minimum.
 WORD_GUARD = 1 << 16
 PAIR_GUARD = 1 << 24
-DEFAULT_SAMPLE_PAIRS = 100_000
+DEFAULT_SAMPLE_PAIRS = 100_000  # the ignored default of sample_image_pair_min_rank
 ISOMETRY_GUARD = 1 << 20  # cap on the p^4 vectors of the isometry scan
 CHUNK = 1 << 14
 
@@ -430,52 +430,22 @@ def image_rank_counts(p: int, r: int, variant: str = "O") -> dict[int, int]:
 def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
                                n_pairs: int = DEFAULT_SAMPLE_PAIRS,
                                seed: int = 0) -> int:
-    """Minimum rank of image(u) - image(v) over a seeded sample of distinct
-    vector pairs (u, v); companion check for guard-excluded pairwise scans.
-    Refused unless block(a + b*w) = a*block(1) + b*block(w) mod p for all p^2
-    digits; then image(u) - image(v) = image(u - v).  When every nonzero
-    digit's block has rank 2, as for p % 5 in {2, 3}, each distinct pair has
-    a nonzero digit in u - v and so rank 2: the result is 2 and no pair is
-    read.  Otherwise, with top the largest and low the least nonzero
-    _block_classes class of the digits of u - v, a pair has rank 2 if top is
-    the plane or low < top, else 1 if top > 0, else 0."""
+    """Minimum rank of image(u) - image(v) over all distinct vector pairs
+    (u, v), exact at every r.  Refused unless block(a + b*w) =
+    a*block(1) + b*block(w) mod p for all p^2 digits; then image(u) -
+    image(v) = image(u - v).  A nonzero u - v has a nonzero digit, and its
+    word's rank is at least that digit's block rank, which the vector with
+    only that digit reaches: the result is the least rank of the p^2 - 1
+    nonzero blocks.  ``n_pairs`` and ``seed`` are accepted for existing
+    callers and do nothing."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    total = p ** (2 * r)
-    if total > 2**63:
-        raise ValueError(f"{total} vectors exceed the int64 index limit (2^63) "
-                         "of the sampled scan")
     blocks = _blocks(p, variant)
-    rng = np.random.default_rng(seed)
-    ia = rng.integers(0, total, size=n_pairs)
-    ib = rng.integers(0, total, size=n_pairs)
-    keep = ia != ib
-    if not keep.any():
-        raise ValueError(f"no distinct pair among the n_pairs={n_pairs} drawn; "
-                         "raise n_pairs")
-    q = p * p
-    a, b = np.divmod(np.arange(q), p)
+    a, b = np.divmod(np.arange(p * p), p)
     if not np.array_equal(blocks, (a[:, None, None] * blocks[p]
                                    + b[:, None, None] * blocks[1]) % p):
         raise ValueError(f"the {variant} block map is not additive over GF({p})")
-    classes, plane = _block_classes(blocks, p)
-    if (classes[1:] == plane).all():
-        return 2
-    ia, ib = ia[keep], ib[keep]
-    # Digit a*p + b spreads to a*2p + b: two spread digits differ by the unique
-    # (a1 - a2)*2p + (b1 - b2), and diff_class, offset by 2p^2 + p, holds the
-    # class of their difference mod p.  Floor division beats numpy's divmod.
-    wrap = np.arange(-p, p) % p
-    diff_class, spread = classes[wrap[:, None] * p + wrap].ravel(), a * 2 * p + b
-    top, low = np.zeros_like(ia), np.full_like(ia, plane)
-    for _ in range(r):
-        ua, ub, ia, ib = ia, ib, ia // q, ib // q
-        cls = diff_class[spread[ua - ia * q] - spread[ub - ib * q] + 2 * q + p]
-        top = np.maximum(top, cls)
-        low = np.minimum(low, np.where(cls > 0, cls, plane))
-    return int(np.where((top == plane) | (low < top), 2, top > 0).min())
+    return int(batch_rank(blocks[1:], p).min())
 
 
 def _weight_scan(p: int, count: int):

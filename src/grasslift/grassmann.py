@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .gf import require_construction_prime
+from .gf import is_prime, require_construction_prime
 from .matfp import (batch_lift, batch_rank, batch_rref, check_modulus, has_duplicates,
                     int_array, rref_null_space)
 from .codes import PAIR_GUARD, RankMetricCode, _blocks, _image_batch
@@ -108,8 +108,13 @@ def enumerate_grassmannian(n: int, k: int, p: int) -> np.ndarray:
     check_modulus(p)
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    # The vector cap keeps n, and so the count's own cost, small; the count
+    # cap bounds the output, which the vector cap alone does not.
     if p**n > ENUMERATION_GUARD:
         raise ValueError(f"p^n = {p**n} exceeds the enumeration guard ({ENUMERATION_GUARD})")
+    count = gaussian_coefficient(n, k, p)
+    if count > ENUMERATION_GUARD:
+        raise ValueError(f"{count} subspaces exceed the enumeration guard ({ENUMERATION_GUARD})")
     cells = []
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
@@ -147,7 +152,22 @@ def _anticode_t(n: int, d: int, k: int, q: int, metric: str) -> int:
         raise ValueError(f"k={k} exceeds n={n}: GF(q)^n has no k-dimensional subspace")
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    # q = root^e for its largest such e; q is a prime power iff that root is
+    # prime.  is_prime refuses a root too large to decide.
+    e = next(e for e in range(q.bit_length(), 0, -1) if _integer_root(q, e) ** e == q)
+    if not is_prime(_integer_root(q, e)):
+        raise ValueError(f"q={q} is not a prime power: there is no field GF({q})")
     return t
+
+
+def _integer_root(x: int, e: int) -> int:
+    """floor(x^(1/e)) for x >= 1, by integer Newton steps from above."""
+    root = 1 << -(-x.bit_length() // e)
+    while True:
+        step = ((e - 1) * root + x // root ** (e - 1)) // e
+        if step >= root:
+            return root
+        root = step
 
 
 def anticode_bound_min_digits(n: int, d: int, k: int, q: int,
@@ -172,8 +192,8 @@ def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> 
     of Gaussian coefficients (checked to divide exactly).
 
     For the subspace metric d must be even, d = 2*delta + 2 with
-    0 <= delta < k; for the injection metric 1 <= d <= k.  Always k <= n
-    and q >= 2.
+    0 <= delta < k; for the injection metric 1 <= d <= k.  Always k <= n,
+    and q is a prime power, the size of a field.
     """
     t = _anticode_t(n, d, k, q, metric)
     num = gaussian_coefficient(n, t, q)

@@ -528,6 +528,15 @@ def test_bound_rejects_bad_parameters(runner):
     assert "k=5 exceeds n=4" in result.output
 
 
+def test_bound_refuses_q_that_is_not_a_prime_power(runner):
+    result = runner.invoke(main, ["bound", "--n", "6", "--d", "4", "--k", "2", "--q", "6"])
+    assert result.exit_code == 2
+    assert "q=6 is not a prime power" in result.output
+    for q, value in (("4", "273"), ("9", "6643")):
+        result = runner.invoke(main, ["bound", "--n", "6", "--d", "4", "--k", "2", "--q", q])
+        assert result.exit_code == 0 and result.output == value + "\n"
+
+
 @pytest.fixture
 def int_str_limit():
     """Python's int-to-str digit limit, set to its default of 4300."""

@@ -323,6 +323,22 @@ def test_enumerate_grassmannian_edges():
         enumerate_grassmannian(4, 2, 4)
 
 
+def test_enumeration_guard_caps_the_subspace_count(monkeypatch):
+    # p^n = 1,024 and 4,096 pass the vector cap, but [10, 5]_2 = 109,221,651
+    # and [12, 6]_2 = 230,674,393,235 bases are refused before any is built.
+    monkeypatch.setattr(grassmann, "itertools", None)
+    for n, k, count in ((10, 5, 109_221_651), (12, 6, 230_674_393_235)):
+        with pytest.raises(ValueError, match=rf"{count} subspaces exceed the enumeration guard"):
+            enumerate_grassmannian(n, k, 2)
+    monkeypatch.undo()
+    # At the boundary: [4, 2]_2 = 35 bases build under a guard of 35, not 34.
+    monkeypatch.setattr(grassmann, "ENUMERATION_GUARD", 35)
+    assert len(enumerate_grassmannian(4, 2, 2)) == 35
+    monkeypatch.setattr(grassmann, "ENUMERATION_GUARD", 34)
+    with pytest.raises(ValueError, match=r"35 subspaces exceed the enumeration guard \(34\)"):
+        enumerate_grassmannian(4, 2, 2)
+
+
 @pytest.mark.parametrize("n, k, p", [(4, 2, 2), (6, 3, 2), (5, 2, 3), (4, 1, 5), (3, 0, 2), (3, 3, 2)])
 def test_enumerate_grassmannian_writes_rref_bases(n, k, p):
     # The cells are written in RREF directly; one more elimination must
@@ -358,6 +374,22 @@ def test_anticode_bound_errors():
         anticode_bound(4, 3, 2, 2, "injection")
     with pytest.raises(ValueError, match="metric"):
         anticode_bound(4, 4, 2, 2, "hamming")
+
+
+def test_anticode_bounds_refuse_q_that_is_not_a_prime_power():
+    for q in (6, 10, 12, 100, 3 * (2**61 - 1), 10**400):
+        for bound in (anticode_bound, anticode_bound_min_digits):
+            with pytest.raises(ValueError, match=rf"q={q} is not a prime power"):
+                bound(6, 4, 2, q)
+    # Roots too large for is_prime to decide are refused: the Mersenne prime
+    # 2^89 - 1 and its square.
+    for q in (2**89 - 1, (2**89 - 1) ** 2):
+        with pytest.raises(ValueError, match="primality is decided exactly below"):
+            anticode_bound(6, 4, 2, q)
+    # Prime powers, also far above is_prime's range when their root is small.
+    for q in (4, 9, 2**61 - 1, 43**20, 2**100):
+        assert anticode_bound(6, 4, 2, q) == (q**6 - 1) // (q**2 - 1)
+        assert anticode_bound_min_digits(6, 4, 2, q) >= 1
 
 
 def test_anticode_bound_divisibility_on_construction_ranges():
