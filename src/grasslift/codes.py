@@ -23,17 +23,21 @@ in one residual pass, the basis is extended from the words outside it (the
 claim fails once its rank exceeds rho), and the words' coordinates in the
 final basis, read as base-p keys, must be a permutation of [0, p^rho).  That
 proves the M = p^rho words distinct and the whole subspace; only a refused
-claim sorts the words to name duplicates.
+claim sorts the words to name duplicates.  The keys also name one word per
+projective point, those whose leading key digit is 1: lambda A has the rank
+of A for every lambda != 0, so the least nonzero rank is read off those
+(M - 1) / (p - 1) words, ranked beside the zero word.
 A code not known to be linear takes the exhaustive pair scan, each word
 against all later ones, under the pair guard and is refused above it.  The
 rank scans send stacks of at most CHUNK words to matfp.batch_rank.  Both
-derived maps act one coordinate at a time, so every image word is gathered
+derived maps act one coordinate at a time, so every image word is written
 from a table of the p^2 single-coordinate blocks, spanned per call from the
-images of 1 and w.  A word's column space is the sum of its blocks', so the
-rank histogram reads ranks from the blocks' column-space classes, and the
-image pair minimum, on an additive block table where image(u) - image(v) =
-image(u - v), is the least rank of a nonzero block.  Every scan is exact and
-runs in the calling thread.
+images of 1 and w, each block broadcast into its coordinate's two columns.
+A word's column space is the sum of its blocks', so the rank histogram reads
+ranks from the blocks' column-space classes, and the image pair minimum, on
+an additive block table where image(u) - image(v) = image(u - v), is the
+least rank of a nonzero block.  Every scan is exact and runs in the calling
+thread.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 
 from .gf import ExtFieldElement, require_construction_prime
 from .matfp import (MatrixFp, batch_rank, batch_rref, check_modulus, has_duplicates,
-                    int_array)
+                    int_array, mod)
 
 # Materialization cap for explicit word lists and cap on exhaustive pairwise
 # scans; larger images go through the histogram and the block-rank pair minimum.
@@ -157,20 +161,24 @@ class RankMetricCode:
     code, M = p^rho and a GF(p)-subspace, certified by :func:`_is_subspace`
     from one row-space basis of the flattened words, which also proves them
     distinct and the zero word present.  A refused linear claim reports the
-    first failure in the order duplicates, zero word, size, closure.  The
-    minimum distance is computed on demand by :func:`min_rank_distance` and
-    cached, as are the word ranks.
+    first failure in the order duplicates, zero word, size, closure.  A
+    linear code keeps the indices of its zero word and of one word per
+    projective point, read off the certificate's keys.  The minimum distance
+    is computed on demand by :func:`min_rank_distance` and cached, as are
+    the ranks of the words that decide it (:func:`_word_ranks`).
     """
 
     def __init__(self, words, p: int, linear: bool = False):
         check_modulus(p)
         if not len(words):
             raise ValueError("a code needs at least one word")
-        words = int_array(words, 3) % p
+        words = mod(int_array(words, 3), p)
         rho = next(e for e in itertools.count() if p**e >= len(words)) if linear else None
+        points = None
         if linear:
             sized = p**rho == len(words)
-            if not (sized and _is_subspace(words.reshape(len(words), -1), p, rho)):
+            keys = _is_subspace(words.reshape(len(words), -1), p, rho) if sized else None
+            if keys is None:
                 # A refused claim names the first of the plain checks that
                 # fails, in their order: duplicates, zero word, size, closure.
                 if has_duplicates(words):
@@ -181,6 +189,12 @@ class RankMetricCode:
                     raise ValueError(f"linear code size {len(words)} is not a power of p={p}")
                 raise ValueError("a linear code must be closed under addition "
                                  "and scalar multiples")
+            # The zero word (key 0) and one word per projective point: those
+            # whose leading key digit is 1, keys in [p^e, 2 p^e) for e < rho.
+            by_key = np.empty_like(keys)
+            by_key[keys] = np.arange(len(keys))
+            points = by_key[np.concatenate([[0], *(np.arange(p**e, 2 * p**e)
+                                                   for e in range(rho))])]
         elif has_duplicates(words):
             raise ValueError("duplicate words")
         words.setflags(write=False)
@@ -188,6 +202,7 @@ class RankMetricCode:
         self.nrows, self.ncols = words.shape[1:]
         self.linear = linear
         self.rho = rho
+        self._points = points
         self._delta: int | None = None
         self._ranks: np.ndarray | None = None
 
@@ -230,9 +245,10 @@ class RankMetricCode:
         )
 
 
-def _is_subspace(flat: np.ndarray, p: int, rho: int) -> bool:
-    """True iff the M = p^rho rows of ``flat``, entries in [0, p), are exactly
-    a rho-dimensional GF(p)-subspace; no stack of all M rows is eliminated.
+def _is_subspace(flat: np.ndarray, p: int, rho: int) -> np.ndarray | None:
+    """The rows' keys in the subspace's RREF basis if the M = p^rho rows of
+    ``flat``, entries in [0, p), are exactly a rho-dimensional
+    GF(p)-subspace, else None; no stack of all M rows is eliminated.
 
     The RREF basis of 2 rho + 1 rows drawn with a fixed seed is checked
     against every row in one pass: a row w lies in its span iff
@@ -242,8 +258,9 @@ def _is_subspace(flat: np.ndarray, p: int, rho: int) -> bool:
     those, and only they are checked again; the claim fails as soon as the
     rank exceeds rho.  Once every row lies in a span of rank rho, each row is
     fixed by its coordinates w[pivots], so the M rows are distinct, and hence
-    the whole span, iff those coordinates read as base-p keys are a
-    permutation of [0, p^rho).
+    the whole span, iff those coordinates read as base-p keys, the t-th
+    coordinate as digit t, are a permutation of [0, p^rho).  That basis is
+    the span's unique RREF, so the keys do not depend on the draw.
     """
     # Drawn, not evenly spaced: evenly spaced words of a code listed in the
     # order of its coefficient vectors, as build_image_code lists them, span
@@ -257,33 +274,41 @@ def _is_subspace(flat: np.ndarray, p: int, rho: int) -> bool:
         reduced, ranks = batch_rref(np.concatenate([basis, new])[None], p)
         rank = int(ranks[0])
         if rank > rho:
-            return False
+            return None
         basis = reduced[0, :rank]
         pivots = (basis != 0).argmax(axis=1) if rank else np.zeros(0, dtype=np.int64)
         free = np.ones(flat.shape[1], dtype=bool)
         free[pivots] = False
-        coords = rest[:, pivots]
+        # w @ lift = w[pivots] @ basis[:, free], with no copy of w[pivots]:
+        # lift holds basis[:, free] on its pivot rows and zeros elsewhere.
         # A product sums rank <= rho residue products, below rho (p - 1)^2,
         # which int64 holds: for rho = 1 since p <= MAX_MODULUS; for rho >= 2
         # since (p - 1)^2 < p^rho = M, and rho * M < 64 * M is far below 2^63
         # for M words held in memory.
-        outside = ((coords @ basis[:, free]) % p != rest[:, free]).any(axis=1)
+        lift = np.zeros((flat.shape[1], flat.shape[1] - rank), dtype=np.int64)
+        lift[pivots] = basis[:, free]
+        # einsum ors the short rows of booleans far faster than any(axis=1).
+        outside = np.einsum("ij->i", mod(rest @ lift, p) != rest[:, free])
         if not outside.any():
             break
         rest = rest[outside]
-        rest = (rest - rest[:, pivots] @ basis) % p
+        rest = mod(rest - rest[:, pivots] @ basis, p)
     if rank != rho:
-        return False
-    if rest is not flat:  # the basis was extended: coordinates of every row
-        coords = flat[:, pivots]
-    keys = coords @ p ** np.arange(rho, dtype=np.int64)
-    return bool(np.bincount(keys, minlength=m).min())
+        return None
+    place = np.zeros(flat.shape[1], dtype=np.int64)
+    place[pivots] = p ** np.arange(rho, dtype=np.int64)
+    keys = flat @ place
+    return keys if np.bincount(keys, minlength=m).min() else None
 
 
 def _word_ranks(code: RankMetricCode) -> np.ndarray:
-    """Ranks of the code's words, computed once per code."""
+    """Ranks of the words that decide the code's least nonzero rank,
+    computed once per code: for a linear code the zero word and one word per
+    projective point, 1 + (M - 1) / (p - 1) words, since lambda A has the
+    rank of A for every lambda != 0; else every word."""
     if code._ranks is None:
-        code._ranks = batch_rank(code.words, code.p)
+        words = code.words if code._points is None else code.words[code._points]
+        code._ranks = batch_rank(words, code.p)
     return code._ranks
 
 
@@ -349,7 +374,7 @@ def is_mrd(code: RankMetricCode) -> bool:
 
 def build_image_code(p: int, r: int, variant: str = "O") -> RankMetricCode:
     """The linear [2 x 2r, 2r, 2] rank-metric code {image(v) : v in (GF(p^2))^r},
-    gathered from the p^2 single-coordinate blocks in enumerate_ext_vectors order.
+    written from the p^2 single-coordinate blocks in enumerate_ext_vectors order.
 
     Requires a prime p with p % 5 in {2, 3}; for other p the image is not a
     rank-metric code with distance 2 (it contains nonzero rank-1 words).
@@ -365,8 +390,7 @@ def build_image_code(p: int, r: int, variant: str = "O") -> RankMetricCode:
             f"{n_words} words exceed the materialization guard ({WORD_GUARD}); "
             "use image_rank_counts and sample_image_pair_min_rank"
         )
-    words = _image_batch(np.arange(n_words), _blocks(p, variant), r)
-    return RankMetricCode(words, p, linear=True)
+    return RankMetricCode(_image_words(_blocks(p, variant), r), p, linear=True)
 
 
 def _blocks(p: int, variant: str) -> np.ndarray:
@@ -383,16 +407,24 @@ def _blocks(p: int, variant: str) -> np.ndarray:
     one, w = (variant_image(ExtVector([ExtFieldElement(a, b, p)]), variant).array
               for a, b in ((1, 0), (0, 1)))
     a, b = np.divmod(np.arange(p * p), p)
-    return (a[:, None, None] * one + b[:, None, None] * w) % p
+    return mod(a[:, None, None] * one + b[:, None, None] * w, p)
 
 
-def _image_batch(idx: np.ndarray, blocks: np.ndarray, length: int) -> np.ndarray:
-    """Variant images of the vectors of (GF(p^2))^length with indices idx in
-    enumerate_ext_vectors order, shape (B, 2, 2 length), gathered from the
-    _blocks table by the base-p^2 digits of idx, most significant first."""
+def _image_words(blocks: np.ndarray, r: int) -> np.ndarray:
+    """Variant images of all q^r vectors of (GF(p^2))^r, q = p^2, in
+    enumerate_ext_vectors order, shape (q^r, 2, 2r): one (q,)*r + (2, 2r)
+    array whose axis t is coordinate t's digit, most significant first, with
+    the _blocks table written into columns 2t and 2t + 1, broadcast over the
+    other digits."""
     q = len(blocks)
-    digits = idx[:, None] // q ** np.arange(length - 1, -1, -1, dtype=np.int64) % q
-    return blocks[digits].transpose(0, 2, 1, 3).reshape(len(idx), 2, 2 * length)
+    out = np.empty((q,) * r + (2, 2 * r), dtype=np.int64)
+    # A block row's two entries are written as one 16-byte item, which numpy
+    # copies several times faster than pairs of int64 entries.
+    pair = np.dtype((np.void, 2 * out.itemsize))
+    rows, table = out.view(pair), np.ascontiguousarray(blocks).view(pair)
+    for t in range(r):
+        rows[..., t] = table.reshape((q,) + (1,) * (r - 1 - t) + (2,))
+    return out.reshape(q**r, 2, 2 * r)
 
 
 def _block_classes(blocks: np.ndarray, p: int) -> tuple[np.ndarray, int]:
@@ -442,8 +474,8 @@ def sample_image_pair_min_rank(p: int, r: int, variant: str = "O",
         raise ValueError("r must be >= 1")
     blocks = _blocks(p, variant)
     a, b = np.divmod(np.arange(p * p), p)
-    if not np.array_equal(blocks, (a[:, None, None] * blocks[p]
-                                   + b[:, None, None] * blocks[1]) % p):
+    if not np.array_equal(blocks, mod(a[:, None, None] * blocks[p]
+                                      + b[:, None, None] * blocks[1], p)):
         raise ValueError(f"the {variant} block map is not additive over GF({p})")
     return int(batch_rank(blocks[1:], p).min())
 
@@ -456,8 +488,8 @@ def _weight_scan(p: int, count: int):
     Bachoc weights (0 for the zero matrix, 1 for an invertible one, p otherwise)."""
     place = p ** np.arange(3, -1, -1, dtype=np.int64)
     idx = np.arange(count, dtype=np.int64)
-    coeffs = (idx[:, None] // place % p).reshape(-1, 2, 2)
-    images = (_blocks(p, "E")[idx // p**2] + _blocks(p, "O")[idx % p**2]) % p
+    coeffs = mod(idx[:, None] // place, p).reshape(-1, 2, 2)
+    images = mod(_blocks(p, "E")[idx // p**2] + _blocks(p, "O")[mod(idx, p**2)], p)
     ranks = batch_rank(images, p)
     hamming = coeffs.any(axis=2).sum(axis=1)
     bachoc = np.array([0, p, 1])[ranks]

@@ -4,12 +4,13 @@ Vertices are the codewords in the code's own order; two vertices are
 adjacent exactly when the subspaces meet only in zero.  For the optimal
 codes built by this package the graph is complete.  A graph is held as its
 vertices' (M, k, n) basis array and a symmetric boolean adjacency matrix
-with a false diagonal, filled from the pair scan through a boolean
-upper-triangle mask.  The writers work on arrays: the DOT writer gathers each
-row's later neighbours from an array of vertex names by the row's mask and
-joins them once per row, the CSV is one character buffer, and the JSON
-sidecar spells its basis array from a string table (dumps_with_array), byte
-for byte the stdlib's sorted 2-space-indented encoding.
+with a false diagonal, its upper triangle filled row by row from slices of
+the pair scan and mirrored.  The writers work on arrays: the DOT writer
+gathers each row's later neighbours from an array of vertex names by the
+row's mask and joins them once per row, the CSV is one character buffer,
+and the JSON sidecar spells its basis array from a string table
+(dumps_with_array), byte for byte the stdlib's sorted 2-space-indented
+encoding.
 """
 
 from __future__ import annotations
@@ -54,9 +55,13 @@ def intersection_graph(code: GrassmannianCode) -> CodeGraph:
     """Graph with an edge {i, j} iff words i and j intersect trivially, read
     off the code's pair scan (GrassmannianCode.intersection_dims)."""
     trivial = code.intersection_dims() == 0
-    adjacency = np.zeros((code.M, code.M), dtype=bool)
-    # A boolean mask assigns in row-major order, which is triu order.
-    adjacency[np.triu(np.ones_like(adjacency), 1)] = trivial
+    m = code.M
+    adjacency = np.zeros((m, m), dtype=bool)
+    # In triu order row i's later pairs are the next m - 1 - i of the scan.
+    start = 0
+    for i in range(m - 1):
+        adjacency[i, i + 1:] = trivial[start:start + m - 1 - i]
+        start += m - 1 - i
     adjacency |= adjacency.T
     return CodeGraph(code.words, code.p, adjacency)
 

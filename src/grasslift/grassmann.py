@@ -32,8 +32,8 @@ import numpy as np
 
 from .gf import is_prime, require_construction_prime
 from .matfp import (batch_lift, batch_rank, batch_rref, check_modulus, has_duplicates,
-                    int_array, rref_null_space)
-from .codes import PAIR_GUARD, RankMetricCode, _blocks, _image_batch
+                    int_array, mod, rref_null_space)
+from .codes import PAIR_GUARD, RankMetricCode, _blocks, _image_words
 
 ENUMERATION_GUARD = 1 << 20
 # Collision pairs expanded at once, and points built at once, by the point scan.
@@ -61,7 +61,7 @@ def _require_rref(bases: np.ndarray) -> None:
 def span(rows, p: int) -> np.ndarray:
     """Canonical basis of the row space of a generator matrix: its (rank, n) RREF."""
     check_modulus(p)
-    reduced, ranks = batch_rref(int_array(rows, 2)[None] % p, p)
+    reduced, ranks = batch_rref(mod(int_array(rows, 2)[None], p), p)
     return reduced[0, :ranks[0]]
 
 
@@ -101,9 +101,11 @@ def gaussian_coefficient(n: int, k: int, q: int) -> int:
 def enumerate_grassmannian(n: int, k: int, p: int) -> np.ndarray:
     """All k-dimensional subspaces of GF(p)^n as one (N, k, n) array of RREF bases.
 
-    Writes the RREF cells directly: a pivot-column choice plus all fillings
-    of the free positions, so every basis is canonical and the output is
-    duplicate-free by construction.
+    Writes the RREF cells directly into one preallocated array: a
+    pivot-column choice plus all fillings of the free positions, so every
+    basis is canonical and the output is duplicate-free by construction.
+    A cell's fillings are the base-p digits of arange(p^f), most significant
+    first, written one free position at a time.
     """
     check_modulus(p)
     if k < 0 or k > n:
@@ -115,7 +117,8 @@ def enumerate_grassmannian(n: int, k: int, p: int) -> np.ndarray:
     count = gaussian_coefficient(n, k, p)
     if count > ENUMERATION_GUARD:
         raise ValueError(f"{count} subspaces exceed the enumeration guard ({ENUMERATION_GUARD})")
-    cells = []
+    out = np.zeros((count, k, n), dtype=np.int64)
+    start = 0
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
         free = [
@@ -124,12 +127,14 @@ def enumerate_grassmannian(n: int, k: int, p: int) -> np.ndarray:
             for j in range(pivots[i] + 1, n)
             if j not in pivot_set
         ]
-        fillings = list(itertools.product(range(p), repeat=len(free)))
-        mats = np.zeros((len(fillings), k, n), dtype=np.int64)
-        mats[:, range(k), pivots] = 1
-        mats[:, [i for i, _ in free], [j for _, j in free]] = fillings
-        cells.append(mats)
-    return np.concatenate(cells)
+        f = len(free)
+        cell = out[start:start + p**f]
+        cell[:, range(k), pivots] = 1
+        fillings = np.arange(p**f)
+        for t, (i, j) in enumerate(free):
+            cell[:, i, j] = mod(fillings // p ** (f - 1 - t), p)
+        start += len(cell)
+    return out
 
 
 def _anticode_t(n: int, d: int, k: int, q: int, metric: str) -> int:
@@ -263,7 +268,7 @@ class GrassmannianCode:
         check_modulus(p)
         if not len(words):
             raise ValueError("a code needs at least one word")
-        words = int_array(words, 3) % p
+        words = mod(int_array(words, 3), p)
         _require_rref(words)
         if has_duplicates(words):
             raise ValueError("duplicate words")
@@ -389,7 +394,7 @@ def _point_scan(bases: np.ndarray, p: int) -> np.ndarray:
         # One term per basis row, reduced each time: entries stay below p + p^2.
         for t in range(k):
             acc += coeffs[:, t, None] * block[:, :, t]
-            acc %= p
+            mod(acc, p, out=acc)
         points[lo:lo + step] = acc
     rows = points.reshape(m * per_word, n)
     keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
@@ -441,7 +446,7 @@ def _reduction_scan(bases: np.ndarray, p: int) -> np.ndarray:
         for t, c in enumerate(pivots[i]):
             np.multiply(later[:, :, c, None], a[t, f], out=product)
             reduced -= product
-            reduced %= p
+            mod(reduced, p, out=reduced)
         out[start:start + len(later)] = k - batch_rank(reduced, p)
         start += len(later)
     return out
@@ -519,7 +524,7 @@ def anticode_optimal_code(p: int, r: int, variant: str = "O",
             f"({pair_guard}); raise the guard to force the construction"
         )
     blocks = _blocks(p, variant)
-    images = [_image_batch(np.arange(p ** (2 * i)), blocks, i) for i in range(1, r + 1)]
+    images = [_image_words(blocks, i) for i in range(1, r + 1)]
     images.append(np.zeros((1, 2, 0), dtype=np.int64))  # lifts to (0 | I_2)
     code = GrassmannianCode(
         np.concatenate([batch_lift(a, n) for a in images]), p,

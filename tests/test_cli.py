@@ -490,7 +490,9 @@ def test_matrix_verify_computes_distance_once(runner, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("guard_args", [[], ["--guard", "10"]], ids=["exhaustive", "sampled"])
-def test_matrix_verify_ranks_the_words_once(runner, tmp_path, monkeypatch, guard_args):
+def test_matrix_verify_ranks_one_word_per_projective_point(runner, tmp_path, monkeypatch,
+                                                           guard_args):
+    # The 81 words of the (3, 2) code: the zero word and 40 projective points.
     stacks = []
     original = codes.batch_rank
 
@@ -502,7 +504,7 @@ def test_matrix_verify_ranks_the_words_once(runner, tmp_path, monkeypatch, guard
     result = runner.invoke(main, ["verify", str(image_code_file(tmp_path, 3, 2)), *guard_args])
     assert result.exit_code == 0
     assert "check distance: claimed=2 computed=2 PASS" in result.output
-    assert stacks.count(81) == 1
+    assert stacks == [41]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,7 @@ from grasslift.matfp import MatrixFp
 from grasslift.codes import (
     ExtVector,
     RankMetricCode,
-    _image_batch,
+    _image_words,
     build_image_code,
     enumerate_ext_vectors,
     even_zero_image,
@@ -260,11 +261,10 @@ def test_image_code_p2_r2_all_nonzero_words_rank_2():
 @pytest.mark.parametrize("variant", ["O", "E"])
 @pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (3, 1), (3, 2), (7, 1), (7, 2), (13, 1)])
 def test_vectorized_image_map_matches_built_code_in_order(p, r, variant):
-    # Word i is gathered from the p^2 single-coordinate blocks as
-    # _image_batch of index i; the whole-vector map variant_image over
+    # Word i is written from the p^2 single-coordinate blocks as row i of
+    # _image_words; the whole-vector map variant_image over
     # enumerate_ext_vectors pins both the words and their order.
-    words = [MatrixFp(m, p) for m in
-             _image_batch(np.arange(p ** (2 * r)), codes._blocks(p, variant), r)]
+    words = [MatrixFp(m, p) for m in _image_words(codes._blocks(p, variant), r)]
     expected = [variant_image(v, variant) for v in enumerate_ext_vectors(p, r)]
     assert words == expected
     assert words == [MatrixFp(w, p) for w in build_image_code(p, r, variant).words]
@@ -281,17 +281,24 @@ def test_block_table_matches_the_oracle_map(p, variant):
     assert blocks.tolist() == [oracle_image(p, 1, variant, i) for i in range(p * p)]
 
 
+@functools.lru_cache(maxsize=2)
+def written_images(p, r, variant):
+    return _image_words(codes._blocks(p, variant), r)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    case=st.sampled_from([(2, 8), (3, 4), (7, 3), (13, 3)]),
+    case=st.sampled_from([(2, 8), (3, 4), (7, 2), (13, 2)]),
     variant=st.sampled_from(codes.VARIANTS),
     data=st.data(),
 )
 def test_gathered_images_match_the_oracle_map_beyond_one_digit(case, variant, data):
+    # Every library use writes at most WORD_GUARD words; (2, 8) is at it.
     p, r = case
+    words = written_images(p, r, variant)
+    assert words.shape == (p ** (2 * r), 2, 2 * r) and len(words) <= codes.WORD_GUARD
     idx = data.draw(st.lists(st.integers(0, p ** (2 * r) - 1), min_size=1, max_size=8))
-    rows = _image_batch(np.array(idx, dtype=np.int64), codes._blocks(p, variant), r)
-    assert rows.tolist() == [oracle_image(p, r, variant, i) for i in idx]
+    assert words[idx].tolist() == [oracle_image(p, r, variant, i) for i in idx]
 
 
 def test_image_code_at_the_word_guard():
@@ -345,7 +352,8 @@ def test_min_rank_distance_above_guard_matches_exhaustive():
 
 
 @pytest.mark.parametrize("guard", [{}, {"pair_guard": 10}], ids=["default", "above"])
-def test_above_guard_distance_ranks_words_once(monkeypatch, guard):
+def test_distance_ranks_one_word_per_projective_point(monkeypatch, guard):
+    # 81 words: the zero word and (81 - 1) / (3 - 1) = 40 projective points.
     words = list(build_image_code(3, 2, "E").words)
     words.append(words.pop(0))  # the zero word last
     code = RankMetricCode(words, 3, linear=True)
@@ -358,7 +366,37 @@ def test_above_guard_distance_ranks_words_once(monkeypatch, guard):
 
     monkeypatch.setattr(codes, "batch_rank", counted)
     assert min_rank_distance(code, **guard) == 2
-    assert stacks == [81]
+    assert stacks == [41]
+    assert min_nonzero_rank(code) == 2 and stacks == [41]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13]), k=st.integers(1, 3), l=st.integers(1, 3),
+       data=st.data())
+def test_min_nonzero_rank_matches_the_oracle_over_every_word(p, k, l, data):
+    """The span of random generators, listed in a drawn order, has the least
+    nonzero rank of all its words, though only one word per projective point
+    is ranked."""
+    vector = st.lists(st.integers(0, p - 1), min_size=k * l, max_size=k * l)
+    gens = np.array(data.draw(st.lists(vector, min_size=1, max_size=3 if p < 11 else 2)),
+                    dtype=np.int64)
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(gens))), dtype=np.int64)
+    span = np.unique(coeffs @ gens % p, axis=0)
+    data.draw(st.randoms(use_true_random=False)).shuffle(order := list(range(len(span))))
+    words = span[order].reshape(-1, k, l)
+    code = RankMetricCode(words, p, linear=True)
+    ranks = [reference_rank(w.tolist(), p) for w in words]
+    if len(words) == 1:
+        with pytest.raises(ValueError, match="no nonzero word"):
+            min_nonzero_rank(code)
+    else:
+        assert min_nonzero_rank(code) == min(r for r in ranks if r) == min_rank_distance(code)
+    # The ranked words are the zero word and one word per projective point:
+    # their nonzero multiples are every nonzero word, each once.
+    zero, *points = code.words[code._points].reshape(len(code._points), -1).tolist()
+    assert not any(zero)
+    multiples = [tuple(c * x % p for x in w) for w in points for c in range(1, p)]
+    assert sorted(multiples) == sorted(tuple(w) for w in span.tolist() if any(w))
 
 
 def test_min_rank_distance_guard_for_non_linear():
@@ -411,6 +449,17 @@ def test_p5_raw_image_contains_rank_one_word():
     assert target.rank() == 1
     code = RankMetricCode([m.array for m in raw], 5, linear=True)
     assert min_rank_distance(code) == 1 == min_nonzero_rank(code)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_p5_raw_image_in_any_order_has_distance_one(seed):
+    # The rank-1 words must be found whichever word the certificate's keys
+    # pick for each projective point: the words are listed in a new order.
+    words = [odd_zero_image(v).array for v in enumerate_ext_vectors(5, 1)]
+    random.Random(seed).shuffle(words)
+    code = RankMetricCode(words, 5, linear=True)
+    assert min_rank_distance(code) == 1 == min_nonzero_rank(code)
+    assert len(code._points) == 1 + (25 - 1) // (5 - 1)
 
 
 # ---------------------------------------------------------------------------

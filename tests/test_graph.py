@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,3 +245,14 @@ def test_intersection_graph_of_optimal_codes_matches_the_triu_indices_constructi
     code = anticode_optimal_code(p, r, "O")
     expected = reference_adjacency(code.M, code.intersection_dims())
     assert np.array_equal(intersection_graph(code).adjacency, expected)
+
+
+def test_intersection_graph_peak_memory_is_within_three_matrices():
+    # Rows are filled from slices of the scan and mirrored once; no M x M
+    # mask or index array is built.  M = 1,365 at (2, 5).
+    code = anticode_optimal_code(2, 5, "O")  # scanned here, outside the trace
+    tracemalloc.start()
+    graph = intersection_graph(code)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 3 * graph.adjacency.nbytes

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,33 @@ def test_enumerate_grassmannian_writes_rref_bases(n, k, p):
     reduced, ranks = batch_rref(subs, p)
     assert np.array_equal(reduced, subs)
     assert (ranks == k).all()
+
+
+@pytest.mark.parametrize("n, k, p", [(4, 2, 2), (6, 3, 2), (5, 2, 3), (4, 1, 5), (3, 0, 2)])
+def test_enumerate_grassmannian_lists_cells_in_product_order(n, k, p):
+    # Pivot choices in combinations order, each cell's fillings in
+    # itertools.product order over its free positions, row by row.
+    cells = []
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+        for filling in itertools.product(range(p), repeat=len(free)):
+            basis = np.zeros((k, n), dtype=np.int64)
+            basis[range(k), pivots] = 1
+            for (i, j), x in zip(free, filling):
+                basis[i, j] = x
+            cells.append(basis)
+    assert np.array_equal(enumerate_grassmannian(n, k, p), np.array(cells))
+
+
+def test_enumerate_grassmannian_peak_memory_is_near_its_output():
+    # One preallocated output; each free position takes temporaries of p^f
+    # entries, far below the cell's p^f k n.  [8, 4]_2 = 200,787 bases.
+    tracemalloc.start()
+    subs = enumerate_grassmannian(8, 4, 2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(subs) == gaussian_coefficient(8, 4, 2)
+    assert peak <= 1.2 * subs.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from grasslift.matfp import (
     check_modulus,
     has_duplicates,
     int_array,
+    mod,
     rref_null_space,
 )
 
@@ -403,3 +405,45 @@ def test_batch_rank_empty_batch():
 def test_batch_rank_rejects_flat_input():
     with pytest.raises(ValueError, match="stack"):
         batch_rank(np.zeros((2, 2), dtype=np.int64), 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(2, MAX_MODULUS),
+    data=st.data(),
+    wide=st.booleans(),
+    use_out=st.sampled_from([None, "fresh", "self"]),
+)
+@example(p=2, data=None, wide=True, use_out="self")
+@example(p=MAX_MODULUS, data=None, wide=True, use_out=None)
+def test_mod_equals_the_remainder(p, data, wide, use_out):
+    # Residue differences and products lie in (-p^2, p^2); the multiply-add
+    # must also hold far outside it, up to +-2^62.
+    bound = 2**62 if wide else min(p * p - 1, 2**62)
+    if data is None:
+        values = [-bound, bound, 0, -1, 1, p, -p, p - 1, 1 - p]
+    else:
+        values = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=50))
+    a = np.array(values, dtype=np.int64)
+    expected = a % p
+    if use_out is None:
+        got = mod(a, p)
+        assert got is not a
+    else:
+        out = a if use_out == "self" else np.empty_like(a)
+        got = mod(a, p, out=out)
+        assert got is out
+    assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+
+def test_mod_allocates_no_more_than_the_remainder():
+    # One result array without out=, one temporary with it: a prototype
+    # that kept the quotient beside the result raised peak memory.
+    a = np.arange(-(1 << 20), 1 << 20, dtype=np.int64)
+    for out in (None, a):
+        tracemalloc.start()
+        mod(a, 7, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= a.nbytes * 1.05, out is None
+    assert a.min() == 0 and a.max() == 6
