@@ -39,7 +39,6 @@ from .grassmann import (
     anticode_bound,
     anticode_optimal_code,
     code_params,
-    compare_variant_codes,
     dual_code,
     enumerate_grassmannian,
     gaussian_coefficient,

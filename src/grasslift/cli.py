@@ -99,11 +99,34 @@ def _finish(report: RunReport, started: float) -> None:
         raise SystemExit(1)
 
 
+def _printable_anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> int:
+    """anticode_bound, refused with a usage error (exit 2) when its
+    parameters are invalid or the value is too long to print."""
+    # Python refuses to convert ints of more than this many digits to text
+    # (0: no limit); a bound over it is refused before it is computed.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = f"over the {limit}-digit limit of Python's int-to-str conversion"
+    try:
+        digits = anticode_bound_min_digits(n, d, k, q, metric)
+        if limit and digits > limit:
+            raise ValueError(f"the bound has at least {digits} decimal digits, {too_long}")
+        value = anticode_bound(n, d, k, q, metric)
+    except (ValueError, ArithmeticError) as exc:
+        raise click.UsageError(str(exc))
+    try:
+        str(value)
+    except ValueError:
+        raise click.UsageError(f"the bound has {value.bit_length()} bits, {too_long}")
+    return value
+
+
 def _load_code_file(path: str):
     """Read a code file and classify it as subspace or matrix code."""
+    # Besides malformed JSON, ValueError covers a file that is not UTF-8 and
+    # an integer literal past Python's int-from-text digit limit.
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read code file {path}: {exc}")
     if not isinstance(data, dict):
         raise click.UsageError(f"malformed code file {path}: the top level is not a JSON object")
@@ -202,7 +225,7 @@ def _verify_grassmann(code: GrassmannianCode, checks, guard, report: RunReport):
             report.add("distance", claimed["d"], min_subspace_distance(code))
         elif check == "anticode":
             d = min_subspace_distance(code)
-            bound = anticode_bound(code.n, d, code.k, code.p, "subspace")
+            bound = _printable_anticode_bound(code.n, d, code.k, code.p)
             report.add("anticode bound attained", bound, code.M)
         elif check == "dual":
             dual = dual_code(code, pair_guard=guard)
@@ -325,22 +348,7 @@ def cmd_graph(p, r, variant, out, adjacency, guard):
               default="subspace", show_default=True)
 def cmd_bound(n, d, k, q, metric):
     """Print the anticode upper bound for the given parameters."""
-    # Python refuses to convert ints of more than this many digits to text
-    # (0: no limit); a bound over it is refused before it is computed.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    too_long = f"over the {limit}-digit limit of Python's int-to-str conversion"
-    try:
-        digits = anticode_bound_min_digits(n, d, k, q, metric)
-        if limit and digits > limit:
-            raise ValueError(f"the bound has at least {digits} decimal digits, {too_long}")
-        value = anticode_bound(n, d, k, q, metric)
-    except (ValueError, ArithmeticError) as exc:
-        raise click.UsageError(str(exc))
-    try:
-        text = str(value)
-    except ValueError:
-        raise click.UsageError(f"the bound has {value.bit_length()} bits, {too_long}")
-    click.echo(text)
+    click.echo(str(_printable_anticode_bound(n, d, k, q, metric)))
 
 
 @main.command("params")

@@ -8,7 +8,7 @@ with a false diagonal, its upper triangle filled row by row from slices of
 the pair scan and mirrored.  The writers work on arrays: the DOT writer
 gathers each row's later neighbours from an array of vertex names by the
 row's mask and joins them once per row, the CSV is one character buffer,
-and the JSON sidecar spells its basis array from a string table
+and the JSON sidecar fills one ``%d`` template of its basis array's shape
 (dumps_with_array), byte for byte the stdlib's sorted 2-space-indented
 encoding.
 """

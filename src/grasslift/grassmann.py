@@ -208,6 +208,17 @@ def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> 
     return num // den
 
 
+def _array_template(shape: tuple, level: int) -> str:
+    """The stdlib's ``indent=2`` text of a nested int list of this shape
+    whose brackets sit 2 * level spaces in, with ``%d`` for each entry."""
+    if not shape:
+        return "%d"
+    if not shape[0]:
+        return "[]"
+    item = "\n" + "  " * (level + 1) + _array_template(shape[1:], level + 1)
+    return "[" + ",".join([item] * shape[0]) + "\n" + "  " * level + "]"
+
+
 def dumps_with_array(payload: dict, key: str, array: np.ndarray) -> str:
     """``json.dumps({**payload, key: array.tolist()}, sort_keys=True,
     indent=2) + "\\n"`` for an int array, without the stdlib's per-integer
@@ -215,42 +226,16 @@ def dumps_with_array(payload: dict, key: str, array: np.ndarray) -> str:
 
     The header is encoded with 0 in place of the array.  Its line
     ``\\n  "<key>": 0`` occurs once: encoded strings hold no raw newline and
-    only top-level keys sit two spaces in.  The array's items are its values,
-    spelled from one string table (or "[]" past its first empty axis), and the
-    text between two items depends only on how many inner lists close there.
+    only top-level keys sit two spaces in.  The array's text depends only on
+    its shape, so it is one ``%d`` template filled with all entries at once.
     """
     line = f"\n  {json.dumps(key)}: "
     head, found, tail = json.dumps({**payload, key: 0}, sort_keys=True,
                                    indent=2).partition(line + "0")
     assert found, "the placeholder line is missing"
-    shape = array.shape
-    if 0 in shape:
-        shape = shape[:shape.index(0)]
-        items = ["[]"] * int(np.prod(shape))
-    else:
-        values, inverse = np.unique(array.ravel(), return_inverse=True)
-        items = np.array([str(v) for v in values.tolist()], dtype=object)[inverse].tolist()
-    depth = len(shape)
-
-    def brackets(levels, bracket):
-        # A level-l list's brackets sit 2l spaces in, its items 2(l+1).
-        return "".join(f"\n{' ' * 2 * level}{bracket}" for level in levels)
-
-    indent = "\n" + " " * 2 * (depth + 1)
-    seps = [brackets(range(depth, depth - closed, -1), "]") + ","
-            + brackets(range(depth - closed + 1, depth + 1), "[") + indent
-            for closed in range(depth)]
-    closes = np.zeros(len(items) - 1, dtype=np.intp)
-    for size in np.cumprod(shape[:0:-1]).tolist():
-        closes += np.arange(1, len(items)) % size == 0
-    parts = np.empty(2 * len(items) - 1, dtype=object)
-    parts[0::2] = items
-    parts[1::2] = np.array(seps, dtype=object)[closes]
-    opening = closing = ""
-    if depth:
-        opening = "[" + brackets(range(2, depth + 1), "[") + indent
-        closing = brackets(range(depth, 0, -1), "]")
-    return head + line + opening + "".join(parts.tolist()) + closing + tail + "\n"
+    body = _array_template(array.shape, 1) % tuple(array.ravel().tolist())
+    # One join: chained + would hold two partial copies of the text at once.
+    return "".join((head, line, body, tail, "\n"))
 
 
 class GrassmannianCode:
@@ -568,19 +553,3 @@ def dual_code(code: GrassmannianCode, pair_guard: int = PAIR_GUARD) -> Grassmann
     if code.d is not None and out.d != code.d:
         raise RuntimeError(f"dual distance {out.d} != original {code.d}")
     return out
-
-
-def compare_variant_codes(p: int, r: int) -> dict:
-    """Set relationship between the two variant constructions at (p, r).
-
-    Reports only; neither equality nor difference is asserted anywhere.
-    Words are listed as their RREF bases.
-    """
-    code_o = anticode_optimal_code(p, r, "O")
-    code_e = anticode_optimal_code(p, r, "E")
-    set_o, set_e = ({str(w) for w in code.words.tolist()} for code in (code_o, code_e))
-    return {
-        "identical": set_o == set_e,
-        "only_O": sorted(set_o - set_e),
-        "only_E": sorted(set_e - set_o),
-    }

@@ -296,6 +296,21 @@ def test_verify_unreadable_file(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("name", ["not-utf8", "long-integer"])
+def test_unreadable_code_files_exit_2_without_traceback(runner, tmp_path, int_str_limit, name):
+    path = tmp_path / f"{name}.json"
+    if name == "not-utf8":
+        path.write_bytes(b'{"p": 2, "n": 4, "k": 2, "provenance": {"\xff": 0}, "words": []}')
+    else:  # an integer literal past the int-from-text digit limit
+        path.write_text('{"p": ' + "1" * 5000 + ', "n": 4, "k": 2, "provenance": {}}')
+    for command in ("verify", "params"):
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2, (command, result.output)
+        assert isinstance(result.exception, SystemExit), (command, result.exception)
+        assert "cannot read code file" in result.output
+        assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("payload", [
     {"p": 4_294_967_311, "n": 4, "k": 2, "provenance": {},
      "words": [[[1, 0, 0, 0], [0, 1, 0, 0]]]},
@@ -580,6 +595,29 @@ def test_bound_refuses_values_over_the_int_str_limit(runner, int_str_limit, monk
         result = bound(runner, n, 4, k)
         assert result.exit_code == 2
         assert f"at least {digits} decimal digits, over the 4300-digit limit" in result.output
+
+
+def test_verify_refuses_an_anticode_bound_over_the_int_str_limit(runner, tmp_path,
+                                                                   int_str_limit, monkeypatch):
+    # Two 120-dimensional words of GF(2)^240 meeting in 119 dimensions: d = 2,
+    # and the anticode bound [240, 120]_2 has at least 4335 digits.
+    a = [[int(j == i) for j in range(240)] for i in range(120)]
+    b = a[:119] + [[int(j == 120) for j in range(240)]]
+    path = tmp_path / "long_bound.json"
+    path.write_text(json.dumps({"p": 2, "n": 240, "k": 120, "words": [a, b],
+                                "provenance": {"claimed": {"d": 2}}}))
+    refusal = [line for line in bound(runner, 240, 2, 120).output.splitlines()
+               if line.startswith("Error:")]
+    assert refusal == ["Error: the bound has at least 4335 decimal digits, over the "
+                       "4300-digit limit of Python's int-to-str conversion"]
+    # The size is refused before any Gaussian coefficient.
+    monkeypatch.setattr(grassmann, "gaussian_coefficient", None)
+    for args in ([], ["--checks", "anticode"]):
+        result = runner.invoke(main, ["verify", str(path), *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert refusal[0] in result.output.splitlines()
+        assert "Traceback" not in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from grasslift.grassmann import (
     anticode_bound_min_digits,
     anticode_optimal_code,
     code_params,
-    compare_variant_codes,
     dual_code,
     dumps_with_array,
     enumerate_grassmannian,
@@ -492,6 +491,20 @@ def test_lift_code_single_zero_word():
     assert lifted.words[0].tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
 
+def test_lift_code_refuses_a_wrong_size(monkeypatch):
+    lift = grassmann.batch_lift
+    monkeypatch.setattr(grassmann, "batch_lift", lambda mats, n: lift(mats, n)[1:])
+    with pytest.raises(RuntimeError, match="lift produced 3 words, expected 4"):
+        lift_code(build_image_code(2, 1, "O"))
+
+
+def test_lift_code_refuses_a_wrong_distance():
+    code = build_image_code(2, 1, "O")
+    code._delta = 1
+    with pytest.raises(RuntimeError, match=r"lifted code distance 4 != 2\*delta = 2"):
+        lift_code(code)
+
+
 def test_lift_code_requires_linear():
     code = RankMetricCode([np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)], 2)
     with pytest.raises(ValueError, match="linear"):
@@ -551,12 +564,29 @@ def test_optimal_code_rejections():
         anticode_optimal_code(2, 2, pair_guard=10)
 
 
-def test_variant_comparison_reports_without_asserting():
+def test_anticode_optimal_code_refuses_a_wrong_size(monkeypatch):
+    size = grassmann.optimal_code_size
+    monkeypatch.setattr(grassmann, "optimal_code_size", lambda p, r: size(p, r) + 1)
+    with pytest.raises(RuntimeError, match="built 5 words, expected 6"):
+        anticode_optimal_code(2, 1, "E")
+
+
+def test_anticode_optimal_code_refuses_a_wrong_distance(monkeypatch):
+    blocks = grassmann._blocks
+
+    def with_rank_one_block(p, variant):
+        table = blocks(p, variant).copy()
+        table[1] = [[1, 0], [0, 0]]  # lifts to a plane meeting the zero-lift in a line
+        return table
+
+    monkeypatch.setattr(grassmann, "_blocks", with_rank_one_block)
+    with pytest.raises(RuntimeError, match="minimum distance 2 != 4"):
+        anticode_optimal_code(2, 1, "E")
+
+
+def test_variant_codes_share_two_words_and_their_parameters():
     # frozen observation: at (2, 1) the two variants share the zero-lift and
     # the (0 | I) word but differ in the other three planes
-    report = compare_variant_codes(2, 1)
-    assert report["identical"] is False
-    assert len(report["only_O"]) == 3 and len(report["only_E"]) == 3
     code_o = anticode_optimal_code(2, 1, "O")
     code_e = anticode_optimal_code(2, 1, "E")
     shared = {w.tobytes() for w in code_o.words} & {w.tobytes() for w in code_e.words}
@@ -626,6 +656,16 @@ def test_dual_code_params():
     assert code_params(dual) == (6, 21, 4, 4)
     double = dual_code(dual)
     assert np.array_equal(double.words, code.words)
+
+
+def test_dual_code_refuses_a_distance_unlike_the_original():
+    planes = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]],
+              [[0, 0, 1, 0], [0, 0, 0, 1]]]
+    code = GrassmannianCode(planes, 2)
+    assert min_subspace_distance(code) == 2
+    code._inters = np.zeros_like(code._inters)  # now reads d = 4
+    with pytest.raises(RuntimeError, match="dual distance 2 != original 4"):
+        dual_code(code)
 
 
 # ---------------------------------------------------------------------------
@@ -898,6 +938,17 @@ def test_dumps_with_array_other_ranks(shape):
     words = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
     assert dumps_with_array({"p": 2}, "words", words) == \
         reference_dumps_with_array({"p": 2}, "words", words)
+
+
+def test_dumps_with_array_peak_memory():
+    # The (2, 6) code's shape: the template, the entry tuple and the text
+    # are alive at once, and nothing per distinct value or per separator.
+    words = np.random.default_rng(0).integers(0, 2, (5461, 2, 14))
+    tracemalloc.start()
+    text = dumps_with_array({"p": 2}, "words", words)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 3.5 * len(text)
 
 
 @pytest.mark.parametrize("p, r", [(2, 1), (2, 3), (3, 2), (13, 1), (17, 1)])
