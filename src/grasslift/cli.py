@@ -8,7 +8,6 @@ constructors refuse, such as a false "linear": true).
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -33,6 +32,7 @@ from .grassmann import (
     code_params,
     dual_code,
     dual_bases,
+    loads_with_array,
     min_subspace_distance,
     optimal_code_size,
 )
@@ -123,9 +123,10 @@ def _printable_anticode_bound(n: int, d: int, k: int, q: int, metric: str = "sub
 def _load_code_file(path: str):
     """Read a code file and classify it as subspace or matrix code."""
     # Besides malformed JSON, ValueError covers a file that is not UTF-8 and
-    # an integer literal past Python's int-from-text digit limit.
+    # an integer literal past Python's int-from-text digit limit.  JSON is
+    # UTF-8 (RFC 8259), whatever the locale.
     try:
-        data = json.loads(Path(path).read_text())
+        data = loads_with_array(Path(path).read_text(encoding="utf-8"), "words")
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read code file {path}: {exc}")
     if not isinstance(data, dict):

@@ -208,15 +208,18 @@ def anticode_bound(n: int, d: int, k: int, q: int, metric: str = "subspace") -> 
     return num // den
 
 
-def _array_template(shape: tuple, level: int) -> str:
-    """The stdlib's ``indent=2`` text of a nested int list of this shape
-    whose brackets sit 2 * level spaces in, with ``%d`` for each entry."""
+def _array_template(shape: tuple, newline: str, entry: str = "%d") -> str:
+    """The stdlib's text of a nested int list of this shape, with ``entry``
+    for each entry: ``indent=2`` text whose brackets sit after ``newline``
+    ("\\n" and their indentation), or with ``newline`` "" text with no
+    whitespace at all."""
     if not shape:
-        return "%d"
+        return entry
     if not shape[0]:
         return "[]"
-    item = "\n" + "  " * (level + 1) + _array_template(shape[1:], level + 1)
-    return "[" + ",".join([item] * shape[0]) + "\n" + "  " * level + "]"
+    inner = newline and newline + "  "
+    item = inner + _array_template(shape[1:], inner, entry)
+    return "[" + ",".join([item] * shape[0]) + newline + "]"
 
 
 def dumps_with_array(payload: dict, key: str, array: np.ndarray) -> str:
@@ -233,9 +236,124 @@ def dumps_with_array(payload: dict, key: str, array: np.ndarray) -> str:
     head, found, tail = json.dumps({**payload, key: 0}, sort_keys=True,
                                    indent=2).partition(line + "0")
     assert found, "the placeholder line is missing"
-    body = _array_template(array.shape, 1) % tuple(array.ravel().tolist())
+    body = _array_template(array.shape, "\n  ") % tuple(array.ravel().tolist())
     # One join: chained + would hold two partial copies of the text at once.
     return "".join((head, line, body, tail, "\n"))
+
+
+# Numbers of at most 18 digits fit int64; numpy 1.x arrays have at most 32 axes.
+_MAX_DIGITS = 18
+_MAX_RANK = 32
+_DIGITS_AS_0 = bytes.maketrans(b"0123456789", b"0" * 10)
+_SEPARATORS_AS_SPACE = bytes.maketrans(b"[],", b"   ")
+
+
+def loads_with_array(text: str, key: str):
+    """``json.loads(text)``, with the top-level ``key``'s value an int64
+    array instead of nested lists when :func:`_scan_int_array` reads it: the
+    inverse of :func:`dumps_with_array`.
+
+    The value's text is taken from the colon after the last ``"<key>"`` to
+    the last "]".  The rest of the document goes to json.loads with ``NaN``
+    in its place, and a hook answers every JSON constant with a sentinel and
+    counts them.  If json accepted that document, the hook ran once, and the
+    sentinel is the key's value, then the text was that key's last value in
+    the top-level object: a nested key, an earlier duplicate and a second
+    constant all fail this.  Any other text takes ``json.loads(text)``, with
+    its result or its error.
+    """
+    name = json.dumps(key)
+    found = text.rfind(name)
+    start = text.find(":", found + len(name)) + 1 if found >= 0 else 0
+    end = text.rfind("]") + 1
+    array = _scan_int_array(text, start, end) if 0 < start < end else None
+    if array is not None:
+        sentinel, constants = object(), []
+
+        def constant(literal):
+            constants.append(literal)
+            return sentinel
+
+        try:
+            data = json.loads(text[:start] + "NaN" + text[end:], parse_constant=constant)
+        except (ValueError, RecursionError):
+            data = None
+        if len(constants) == 1 and isinstance(data, dict) and data.get(key) is sentinel:
+            data[key] = array
+            return data
+    return json.loads(text)
+
+
+def _scan_int_array(text: str, start: int, end: int) -> np.ndarray | None:
+    """The int64 array that ``text[start:end]`` writes in JSON, if that text
+    is a nonempty regular nested list of at most 32 axes, with only JSON
+    whitespace and with integers of at most 18 digits, none with a leading
+    zero and none ``-0``; else None.
+
+    With the whitespace dropped, the bytes that are not digits or ``-`` must
+    be the brackets and commas of the shape read off the first item of each
+    axis (:func:`_array_template` with empty entries).  Each gap between
+    two of them then holds at most one number, so the numbers fill the
+    shape's entries exactly when there are as many as entries and none
+    follows a "]" or precedes a "[".  When every number is one digit, the
+    digits are the entries.  Otherwise a ``-`` must start a number and
+    precede a digit 1-9, a 0 that starts a number must end it, and no run
+    of digits may exceed 18; then numpy's text parser reads the numbers.
+    """
+    raw = text[start:end].encode()
+    chars = raw.translate(None, b" \t\n\r")
+    seps = chars.translate(None, b"-0123456789")
+    rank = len(seps) - len(seps.lstrip(b"["))
+    if not 0 < rank <= _MAX_RANK:
+        return None
+    # The first item of axis rank - depth ends at the first run of depth
+    # "]"s; the commas before it give that axis's length.
+    shape, commas = (), 0
+    for depth in range(1, rank + 1):
+        close = seps.find(b"]" * depth) if depth < rank else len(seps)
+        total = seps.count(b",", 0, close) if close >= 0 else -1
+        length, rest = divmod(total + 1, commas + 1)
+        if length < 1 or rest:
+            return None
+        shape, commas = (length,) + shape, total
+    if seps != _array_template(shape, "", "").encode():
+        return None
+    # Each copy and mask is dropped once used, so the peak stays a few
+    # bytes per byte of text, beside the int64 result.
+    del seps
+    entries = math.prod(shape)
+    # Whitespace between two numbers would join them once it is dropped.
+    # The text now holds only whitespace, brackets, commas, "-" and digits,
+    # so its numbers are its runs of bytes from "-" to "9".
+    if len(raw) > len(chars):
+        number = np.frombuffer(raw, np.uint8) >= ord("-")
+        number &= np.frombuffer(raw, np.uint8) <= ord("9")
+        if np.count_nonzero(number[1:] > number[:-1]) != entries:
+            return None
+        del number
+    del raw
+    c = np.frombuffer(chars, np.uint8)
+    digit = (c >= ord("0")) & (c <= ord("9"))
+    minus = c == ord("-")
+    number = digit | minus
+    first = number.copy()
+    first[1:] &= ~number[:-1]  # the first byte of each number
+    if (np.count_nonzero(first) != entries
+            or (number[1:] & (c[:-1] == ord("]"))).any()
+            or (number[:-1] & (c[1:] == ord("["))).any()):
+        return None
+    del number
+    if not minus.any() and np.count_nonzero(digit) == entries:  # one digit each
+        values = np.frombuffer(chars.translate(None, b"[],"), np.uint8).astype(np.int64)
+        values -= ord("0")
+    else:
+        if ((minus & ~first).any()
+                or (minus[:-1] & ~(digit[1:] & (c[1:] != ord("0")))).any()
+                or (first[:-1] & (c[:-1] == ord("0")) & digit[1:]).any()
+                or b"0" * (_MAX_DIGITS + 1) in chars.translate(_DIGITS_AS_0)):
+            return None
+        values = np.fromstring(chars.translate(_SEPARATORS_AS_SPACE), np.int64, sep=" ")
+    return values.reshape(shape)
 
 
 class GrassmannianCode:

@@ -145,14 +145,21 @@ def reference_intersection_dims(words, p):
 
 
 # ---------------------------------------------------------------------------
-# Writers: the stdlib JSON encoder, the per-row DOT formula and the
-# triu_indices adjacency, as references for the library's array writers
+# Writers and reader: the stdlib JSON encoder and decoder, the per-row DOT
+# formula and the triu_indices adjacency, as references for the library's
+# array writers and code-file reader
 # ---------------------------------------------------------------------------
 
 def reference_dumps_with_array(payload, key, array):
     """The stdlib encoding of payload with array as key's value."""
     return json.dumps({**payload, key: np.asarray(array).tolist()},
                       sort_keys=True, indent=2) + "\n"
+
+
+def reference_loads_with_array(text, key):
+    """The stdlib decoding of text, with key's value as an array."""
+    data = json.loads(text)
+    return {**data, key: np.asarray(data[key])}
 
 
 def reference_to_dot(graph):

@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import grasslift
 from grasslift import cli, codes, grassmann
 from grasslift.cli import main
 from grasslift.codes import build_image_code, weight_table_csv
+from grasslift.grassmann import anticode_optimal_code
 from grasslift.matfp import MatrixFp
 
 
@@ -400,6 +405,134 @@ def test_boolean_modulus_exits_2_as_not_an_integer(runner, tmp_path, data):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "modulus must be an integer, got True" in result.output
+
+
+# ---------------------------------------------------------------------------
+# code-file reading: the byte scan of the words array, else json.loads
+# ---------------------------------------------------------------------------
+
+# The (2, 1) code's file with sorted keys, so that its words end it.
+CODE_21 = anticode_optimal_code(2, 1, "O").to_dict()
+WORDS_21 = json.dumps(CODE_21["words"])
+TEXT_21 = json.dumps(CODE_21, sort_keys=True)
+HEAD_21 = TEXT_21[:TEXT_21.index('"words"')]
+
+
+def _with_first_entry(entry):
+    return TEXT_21.replace("[[[1, 0", f"[[[{entry}, 0", 1)
+
+
+ADVERSARIAL_FILES = {
+    "leading-zero": _with_first_entry("01"),
+    "minus-zero": TEXT_21.replace("[[[1, 0", "[[[1, -0", 1),
+    "float": _with_first_entry("1.0"),
+    "exponent": _with_first_entry("1e3"),
+    "double-minus": _with_first_entry("--1"),
+    "plus": _with_first_entry("+1"),
+    "2^63": _with_first_entry(str(2**63)),
+    "int64-max": _with_first_entry(str(2**63 - 1)),  # 19 digits, odd
+    "18-digits": _with_first_entry("1" + "0" * 16 + "1"),
+    "negative": _with_first_entry("-1"),
+    "empty": HEAD_21 + '"words": []}',
+    "empty-word": HEAD_21 + '"words": [[]]}',
+    # Read by the first item of each axis, it is the code (2, 2, 4).
+    "ragged": HEAD_21 + '"words": [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0], [0, 0, 0, 0, 1, 0]]]}',
+    "words-in-a-string": TEXT_21[:-1] + ', "z": "\\"words\\": [[[0, 0, 1, 0], [0, 0, 0, 1]]]"}',
+    "nested-words": '{"k": 1, "n": 2, "p": 2, "words": 0, "provenance": {"words": [[[1, 0]]]}}',
+    "nested-words-first": '{"provenance": {"words": [[[1, 0]]]}, "k": 1, "n": 2, "p": 2, "words": 0}',
+    "nested-words-nan": '{"k": 1, "n": 2, "p": 2, "words": NaN, "provenance": {"words": [[[1, 0]]]}}',
+    "duplicate-words": TEXT_21.replace("{", '{"words": 0, ', 1),
+    "duplicate-words-last-0": TEXT_21[:-1] + ', "words": 0}',
+    "nan-in-provenance": TEXT_21.replace('"provenance": {', '"provenance": {"x": NaN, ', 1),
+    "words-not-last": '{"words": ' + WORDS_21 + ", " + HEAD_21[1:-2] + "}",
+    "non-ascii-provenance": TEXT_21.replace('"provenance": {', '"provenance": {"x": "p – r", ', 1),
+    "utf8-bom": "﻿" + TEXT_21,
+}
+
+
+def _invoke_both_readers(runner, monkeypatch, args):
+    """(exit code, output lines but the wall time) of the command with the
+    byte-scan reader, and with json.loads alone."""
+    results = []
+    for reader in (None, lambda text, key: json.loads(text)):
+        with monkeypatch.context() as m:
+            if reader:
+                m.setattr(cli, "loads_with_array", reader)
+            result = runner.invoke(main, args)
+        assert "Traceback" not in result.output
+        results.append((result.exit_code, [line for line in result.output.splitlines()
+                                           if not line.startswith("wall time:")]))
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_FILES))
+def test_adversarial_code_files_read_as_by_json_loads(runner, tmp_path, monkeypatch, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(ADVERSARIAL_FILES[name], encoding="utf-8")
+    for command in ("verify", "params"):
+        scanned, decoded = _invoke_both_readers(runner, monkeypatch, [command, str(path)])
+        assert scanned == decoded, command
+
+
+def test_adversarial_code_files_pass_and_fail(runner, tmp_path):
+    exit_codes = {}
+    for name, text in ADVERSARIAL_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        exit_codes[name] = runner.invoke(main, ["verify", str(path)]).exit_code
+    passing = {"minus-zero", "int64-max", "18-digits", "negative", "words-in-a-string",
+               "duplicate-words", "nan-in-provenance", "words-not-last", "non-ascii-provenance"}
+    assert exit_codes == {name: 0 if name in passing else 2 for name in ADVERSARIAL_FILES}
+
+
+def _decoded_lengths(monkeypatch):
+    """Wrap json.loads, as the reader calls it; returns the list of the
+    lengths of the texts it decodes."""
+    lengths = []
+    loads = grassmann.json.loads
+
+    def recording(text, *args, **kwargs):
+        lengths.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(grassmann.json, "loads", recording)
+    return lengths
+
+
+@pytest.mark.parametrize("kind", ["construct-3-3", "matrix-7-2"])
+def test_code_files_are_read_without_decoding_the_words(runner, tmp_path, monkeypatch, kind):
+    if kind == "construct-3-3":
+        result, path = construct(runner, tmp_path, p=3, r=3)
+        assert result.exit_code == 0
+        commands = [["verify", str(path)], ["params", str(path)]]
+    else:  # the benchmark's matrix-code file: sorted keys, default separators
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(build_image_code(7, 2, "O").to_dict(), sort_keys=True) + "\n")
+        commands = [["verify", str(path)]]
+    text = path.read_text()
+    words_length = text.rindex("]") + 1 - text.index("[", text.rindex('"words"'))
+    lengths = _decoded_lengths(monkeypatch)
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    assert len(lengths) == len(commands)
+    assert max(lengths) <= len(text) - words_length + len("NaN")
+
+
+def test_code_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259); under the C locale Python's default text
+    # encoding is ASCII, and a raw en dash in the provenance failed to decode.
+    path = tmp_path / "u.json"
+    data = anticode_optimal_code(2, 1, "O").to_dict()
+    data["provenance"]["note"] = "p – r"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(grasslift.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", "from grasslift.cli import main; main()",
+                             "verify", str(path)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "RESULT: PASS" in result.stdout
 
 
 @pytest.mark.parametrize("args", [

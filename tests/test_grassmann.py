@@ -22,6 +22,7 @@ from grasslift.grassmann import (
     enumerate_grassmannian,
     gaussian_coefficient,
     lift_code,
+    loads_with_array,
     min_subspace_distance,
     optimal_code_size,
     pairwise_intersection_dims,
@@ -37,6 +38,7 @@ from oracles import (
     random_rref,
     reference_dumps_with_array,
     reference_intersection_dims,
+    reference_loads_with_array,
     reference_points,
     reference_rank,
     reference_rref,
@@ -949,6 +951,97 @@ def test_dumps_with_array_peak_memory():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 3.5 * len(text)
+
+
+@st.composite
+def code_file_texts(draw):
+    """A code file as the stdlib writes it: a word array of rank 1-4 (an
+    axis may be empty) with entries up to +-(2^63 - 1), any indent, compact
+    or spaced separators, the keys in any order and extra provenance keys.
+    Returns the text, the array and the last key."""
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    entries = st.integers(0, 16) | st.integers(-(2**63 - 1), 2**63 - 1)
+    words = draw(arrays(np.int64, tuple(shape), elements=entries))
+    provenance = draw(st.dictionaries(st.text() | TRICKY_TEXT, JSON_VALUES, max_size=4))
+    data = {"p": 17, "n": 4, "k": 2, "provenance": provenance, "words": words.tolist()}
+    keys = draw(st.permutations(sorted(data)))
+    text = json.dumps({key: data[key] for key in keys},
+                      indent=draw(st.sampled_from([None, 0, 2, 4])),
+                      separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+    return text, words, keys[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=code_file_texts())
+def test_loads_with_array_matches_the_stdlib_decoder(case):
+    text, words, last = case
+    got, want = loads_with_array(text, "words"), reference_loads_with_array(text, "words")
+    scanned = isinstance(got["words"], np.ndarray)
+    array, expected = np.asarray(got.pop("words")), want.pop("words")
+    assert got == want
+    assert array.dtype == expected.dtype and array.shape == expected.shape
+    assert np.array_equal(array, expected)
+    # The byte scan, not json.loads, reads every nonempty array of numbers
+    # up to 18 digits that ends the file.
+    if last == "words" and words.size and (np.abs(words) < 10**18).all():
+        assert scanned and array.dtype == np.int64
+
+
+@pytest.mark.parametrize("text", [
+    # The text from the last "words" to the last "]" is a regular array but
+    # not the top-level value, or the file holds a second constant.
+    '{"words": NaN, "provenance": {"words": [[1]]}}',
+    '{"words": 0, "provenance": {"words": [[1]]}}',
+    '{"words": [[1]], "words": 0}',
+    '{"a": NaN, "words": [[1]]}',
+    # Not JSON, or not a regular array of JSON integers.
+    '{"words": [[01]]}', '{"words": [[-0]]}', '{"words": [[1.0]]}', '{"words": [[1e3]]}',
+    '{"words": [[--1]]}', '{"words": [[+1]]}', '{"words": [[1-2]]}', '{"words": [[1 2]]}',
+    '{"words": [[-]]}', '{"words": [[1], [2, 3]]}', '{"words": [[1], 2]}', '{"words": []}',
+    '{"words": [[]]}', '{"words": [[1],]}', '{"words": [[1]]]}', '{"words": [1[2]]}',
+    '\ufeff{"words": [[1]]}', '{"words": [[\u00a01]]}', '{"words": [[1\x0b]]}',
+    '{"words": [[9223372036854775807, -9223372036854775807]]}',
+    '{"words": [[9223372036854775808]]}', '{"words": [[1000000000000000000]]}',
+])
+def test_loads_with_array_matches_the_stdlib_decoder_on_fixed_texts(text):
+    try:
+        want = json.loads(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as caught:
+            loads_with_array(text, "words")
+        assert str(caught.value) == str(exc)
+        return
+    got = loads_with_array(text, "words")
+    assert not isinstance(got["words"], np.ndarray)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("text, words", [
+    ('{"words": [[-1, 10, 999999999999999999, -100000000000000000]]}',
+     [[-1, 10, 999999999999999999, -100000000000000000]]),
+    ('{"a": [1], "words" :\r\n\t[ [0 ,-7] , [ 3,4 ] ]\n}', [[0, -7], [3, 4]]),
+    ('{"words": [[[5]]], "provenance": {"words": 0}, "words": [[[2]], [[3]]]}', [[[2]], [[3]]]),
+    ('{"words": [0]}', [0]),
+])
+def test_loads_with_array_scans_every_regular_array_that_ends_the_file(text, words):
+    got = loads_with_array(text, "words")
+    assert isinstance(got["words"], np.ndarray) and got["words"].dtype == np.int64
+    assert got["words"].tolist() == words
+    assert {**got, "words": words} == json.loads(text)
+
+
+def test_loads_with_array_peak_memory():
+    # The (2, 8) E code's matrix file, 2^16 words in 6.7 MB.  json.loads
+    # holds a list per row; the byte scan's masks and copies are of the text.
+    text = json.dumps(build_image_code(2, 8, "E").to_dict())
+    peaks = []
+    for read in (reference_loads_with_array, loads_with_array):
+        tracemalloc.start()
+        data = read(text, "words")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert data["words"].shape == (2**16, 2, 16)
+    assert peaks[1] <= peaks[0]
 
 
 @pytest.mark.parametrize("p, r", [(2, 1), (2, 3), (3, 2), (13, 1), (17, 1)])
