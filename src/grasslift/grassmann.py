@@ -241,32 +241,35 @@ def dumps_with_array(payload: dict, key: str, array: np.ndarray) -> str:
     return "".join((head, line, body, tail, "\n"))
 
 
-# Numbers of at most 18 digits fit int64; numpy 1.x arrays have at most 32 axes.
-_MAX_DIGITS = 18
+# numpy 1.x arrays have at most 32 axes.
 _MAX_RANK = 32
 _DIGITS_AS_0 = bytes.maketrans(b"0123456789", b"0" * 10)
-_SEPARATORS_AS_SPACE = bytes.maketrans(b"[],", b"   ")
 
 
 def loads_with_array(text: str, key: str):
     """``json.loads(text)``, with the top-level ``key``'s value an int64
-    array instead of nested lists when :func:`_scan_int_array` reads it: the
-    inverse of :func:`dumps_with_array`.
+    array instead of nested lists when :func:`_scan_digit_array` reads it:
+    the inverse of :func:`dumps_with_array` for entries 0-9, as in every
+    code file over GF(p) with p <= 7.
 
     The value's text is taken from the colon after the last ``"<key>"`` to
-    the last "]".  The rest of the document goes to json.loads with ``NaN``
-    in its place, and a hook answers every JSON constant with a sentinel and
-    counts them.  If json accepted that document, the hook ran once, and the
-    sentinel is the key's value, then the text was that key's last value in
-    the top-level object: a nested key, an earlier duplicate and a second
-    constant all fail this.  Any other text takes ``json.loads(text)``, with
-    its result or its error.
+    the last "]", where only whitespace may sit between that name and the
+    colon.  The rest of the document goes to json.loads with ``NaN`` in its
+    place, and a hook answers every JSON constant with a sentinel and counts
+    them.  If json accepted that document, the name's last quote closed a
+    string, so the colon after it is the one after a key and ``NaN`` is a
+    value.  If further the hook ran once and the sentinel is the key's
+    value, the text was that key's last value in the top-level object: a
+    nested key, an earlier duplicate and a second constant all fail this.
+    Any other text takes ``json.loads(text)``, with its result or its error.
     """
     name = json.dumps(key)
     found = text.rfind(name)
-    start = text.find(":", found + len(name)) + 1 if found >= 0 else 0
+    colon = text.find(":", found + len(name)) if found >= 0 else -1
+    keyed = colon > 0 and not text[found + len(name):colon].strip(" \t\n\r")
+    start = colon + 1 if keyed else 0
     end = text.rfind("]") + 1
-    array = _scan_int_array(text, start, end) if 0 < start < end else None
+    array = _scan_digit_array(text, start, end) if 0 < start < end else None
     if array is not None:
         sentinel, constants = object(), []
 
@@ -284,75 +287,39 @@ def loads_with_array(text: str, key: str):
     return json.loads(text)
 
 
-def _scan_int_array(text: str, start: int, end: int) -> np.ndarray | None:
+def _scan_digit_array(text: str, start: int, end: int) -> np.ndarray | None:
     """The int64 array that ``text[start:end]`` writes in JSON, if that text
-    is a nonempty regular nested list of at most 32 axes, with only JSON
-    whitespace and with integers of at most 18 digits, none with a leading
-    zero and none ``-0``; else None.
+    is a nonempty regular nested list of at most 32 axes whose entries are
+    the digits 0-9, with only JSON whitespace; else None.
 
-    With the whitespace dropped, the bytes that are not digits or ``-`` must
-    be the brackets and commas of the shape read off the first item of each
-    axis (:func:`_array_template` with empty entries).  Each gap between
-    two of them then holds at most one number, so the numbers fill the
-    shape's entries exactly when there are as many as entries and none
-    follows a "]" or precedes a "[".  When every number is one digit, the
-    digits are the entries.  Otherwise a ``-`` must start a number and
-    precede a digit 1-9, a 0 that starts a number must end it, and no run
-    of digits may exceed 18; then numpy's text parser reads the numbers.
+    The shape is read off the first item of each axis.  With the whitespace
+    dropped and every digit as 0, the text must then be that shape's
+    :func:`_array_template` with entry "0": one digit per entry and nothing
+    else.  The digits, in order, are the entries.
     """
-    raw = text[start:end].encode()
-    chars = raw.translate(None, b" \t\n\r")
-    seps = chars.translate(None, b"-0123456789")
-    rank = len(seps) - len(seps.lstrip(b"["))
+    chars = text[start:end].encode().translate(None, b" \t\n\r")
+    rank = len(chars) - len(chars.lstrip(b"["))
     if not 0 < rank <= _MAX_RANK:
         return None
     # The first item of axis rank - depth ends at the first run of depth
     # "]"s; the commas before it give that axis's length.
     shape, commas = (), 0
     for depth in range(1, rank + 1):
-        close = seps.find(b"]" * depth) if depth < rank else len(seps)
-        total = seps.count(b",", 0, close) if close >= 0 else -1
+        close = chars.find(b"]" * depth) if depth < rank else len(chars)
+        total = chars.count(b",", 0, close) if close >= 0 else -1
         length, rest = divmod(total + 1, commas + 1)
         if length < 1 or rest:
             return None
         shape, commas = (length,) + shape, total
-    if seps != _array_template(shape, "", "").encode():
+    # The template holds a digit per entry, a comma between two items and
+    # two brackets per list; checking its length first keeps a misread
+    # shape's template from outgrowing the text.
+    entries, lists = math.prod(shape), sum(math.prod(shape[:j]) for j in range(rank))
+    if (len(chars) != 2 * (entries + lists) - 1
+            or chars.translate(_DIGITS_AS_0) != _array_template(shape, "", "0").encode()):
         return None
-    # Each copy and mask is dropped once used, so the peak stays a few
-    # bytes per byte of text, beside the int64 result.
-    del seps
-    entries = math.prod(shape)
-    # Whitespace between two numbers would join them once it is dropped.
-    # The text now holds only whitespace, brackets, commas, "-" and digits,
-    # so its numbers are its runs of bytes from "-" to "9".
-    if len(raw) > len(chars):
-        number = np.frombuffer(raw, np.uint8) >= ord("-")
-        number &= np.frombuffer(raw, np.uint8) <= ord("9")
-        if np.count_nonzero(number[1:] > number[:-1]) != entries:
-            return None
-        del number
-    del raw
-    c = np.frombuffer(chars, np.uint8)
-    digit = (c >= ord("0")) & (c <= ord("9"))
-    minus = c == ord("-")
-    number = digit | minus
-    first = number.copy()
-    first[1:] &= ~number[:-1]  # the first byte of each number
-    if (np.count_nonzero(first) != entries
-            or (number[1:] & (c[:-1] == ord("]"))).any()
-            or (number[:-1] & (c[1:] == ord("["))).any()):
-        return None
-    del number
-    if not minus.any() and np.count_nonzero(digit) == entries:  # one digit each
-        values = np.frombuffer(chars.translate(None, b"[],"), np.uint8).astype(np.int64)
-        values -= ord("0")
-    else:
-        if ((minus & ~first).any()
-                or (minus[:-1] & ~(digit[1:] & (c[1:] != ord("0")))).any()
-                or (first[:-1] & (c[:-1] == ord("0")) & digit[1:]).any()
-                or b"0" * (_MAX_DIGITS + 1) in chars.translate(_DIGITS_AS_0)):
-            return None
-        values = np.fromstring(chars.translate(_SEPARATORS_AS_SPACE), np.int64, sep=" ")
+    values = np.frombuffer(chars.translate(None, b"[],"), np.uint8).astype(np.int64)
+    values -= ord("0")
     return values.reshape(shape)
 
 

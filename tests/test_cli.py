@@ -441,6 +441,12 @@ ADVERSARIAL_FILES = {
     "nested-words": '{"k": 1, "n": 2, "p": 2, "words": 0, "provenance": {"words": [[[1, 0]]]}}',
     "nested-words-first": '{"provenance": {"words": [[[1, 0]]]}, "k": 1, "n": 2, "p": 2, "words": 0}',
     "nested-words-nan": '{"k": 1, "n": 2, "p": 2, "words": NaN, "provenance": {"words": [[[1, 0]]]}}',
+    # The last '"words"' closes the string "\"words", and the colon after it
+    # and the span to the last "]" sit inside a later key.
+    "words-key-in-a-string": '{"k": 1, "n": 2, "p": 2, "provenance": {}, "words": NaN, '
+                             '"z": "\\"words", ":[[[1, 0]]]": 0}',
+    "words-key-in-a-string-infinity": '{"k": 1, "n": 2, "p": 2, "provenance": {}, '
+                                      '"words": Infinity, "z": "\\"words", ":[[[1, 0]]]": 0}',
     "duplicate-words": TEXT_21.replace("{", '{"words": 0, ', 1),
     "duplicate-words-last-0": TEXT_21[:-1] + ', "words": 0}',
     "nan-in-provenance": TEXT_21.replace('"provenance": {', '"provenance": {"x": NaN, ', 1),
