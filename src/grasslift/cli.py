@@ -31,7 +31,6 @@ from .grassmann import (
     anticode_optimal_code,
     code_params,
     dual_code,
-    dual_bases,
     loads_with_array,
     min_subspace_distance,
     optimal_code_size,
@@ -45,6 +44,7 @@ from .graph import (
     to_dot,
     vertex_sidecar_json,
 )
+from .matfp import mod
 
 GRASSMANN_CHECKS = ("anticode", "distance", "dual", "graph")
 MATRIX_CHECKS = ("mrd", "distance")
@@ -237,7 +237,12 @@ def _verify_grassmann(code: GrassmannianCode, checks, guard, report: RunReport):
                 and dual.d == min_subspace_distance(code)
                 and dual.k == code.n - code.k
             )
-            ok_involution = np.array_equal(dual_bases(dual.words, dual.p), code.words)
+            # n - k RREF rows orthogonal to A_i span its complement, whose
+            # complement is A_i; reducing each term keeps the sums in int64.
+            products = np.zeros((code.M, code.k, dual.k), dtype=np.int64)
+            for a, b in zip(code.words.transpose(2, 0, 1), dual.words.transpose(2, 0, 1)):
+                products = mod(products + a[:, :, None] * b[:, None, :], code.p)
+            ok_involution = dual.k == code.n - code.k and not products.any()
             report.add("dual (n,M,d) preserved, k complemented", True, bool(ok_params))
             report.add("dual involution", True, bool(ok_involution))
         else:

@@ -27,11 +27,10 @@ claim sorts the words to name duplicates.  The keys also name one word per
 projective point, those whose leading key digit is 1: lambda A has the rank
 of A for every lambda != 0, so the least nonzero rank is read off those
 (M - 1) / (p - 1) words, ranked beside the zero word.
-A code not known to be linear takes the exhaustive pair scan, each word
-against all later ones, under the pair guard and is refused above it.  The
-rank scans send stacks of at most CHUNK words to matfp.batch_rank.  Both
-derived maps act one coordinate at a time, so every image word is written
-from a table of the p^2 single-coordinate blocks, spanned per call from the
+A code not known to be linear is refused above the pair guard; under it,
+its distance is read off the subspace pair scan of its lifts.  Both derived
+maps act one coordinate at a time, so every image word is written from a
+table of the p^2 single-coordinate blocks, spanned per call from the
 images of 1 and w, each block broadcast into its coordinate's two columns.
 A word's column space is the sum of its blocks', so the rank histogram reads
 ranks from the blocks' column-space classes, and the image pair minimum, on
@@ -48,8 +47,8 @@ import random
 import numpy as np
 
 from .gf import ExtFieldElement, require_construction_prime
-from .matfp import (MatrixFp, batch_rank, batch_rref, check_modulus, has_duplicates,
-                    int_array, mod)
+from .matfp import (MatrixFp, batch_lift, batch_rank, batch_rref, check_modulus,
+                    has_duplicates, int_array, mod)
 
 # Materialization cap for explicit word lists and cap on exhaustive pairwise
 # scans; larger images go through the histogram and the block-rank pair minimum.
@@ -57,7 +56,6 @@ WORD_GUARD = 1 << 16
 PAIR_GUARD = 1 << 24
 DEFAULT_SAMPLE_PAIRS = 100_000  # the ignored default of sample_image_pair_min_rank
 ISOMETRY_GUARD = 1 << 20  # cap on the p^4 vectors of the isometry scan
-CHUNK = 1 << 14
 
 VARIANTS = ("O", "E")
 
@@ -236,6 +234,8 @@ class RankMetricCode:
         code = cls(data["words"], data["p"], linear=data["linear"])
         if code.shape != (data["k"], data["l"]):
             raise ValueError("word shape does not match declared (k, l)")
+        if {type(data["k"]), type(data["l"])} != {int}:  # 2.0 == 2 and true == 1
+            raise ValueError(f"declared k and l must be integers, got {data['k']!r}, {data['l']!r}")
         return code
 
     def __repr__(self):
@@ -321,23 +321,16 @@ def min_nonzero_rank(code: RankMetricCode) -> int:
     return int(nz.min())
 
 
-def _min_rank(diffs, p: int) -> int | None:
-    """Minimum rank over a stream of (B, R, C) stacks of residue differences;
-    each lies in (-p, p) and is moved into [0, p) in place.  None if empty."""
-    return min((int(batch_rank(np.add(d, (d < 0) * p, out=d), p).min()) for d in diffs),
-               default=None)
-
-
 def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
                       seed: int = 0) -> int:
     """Minimum rank of A - B over distinct word pairs.
 
     A linear code's distance is its least nonzero word rank at any size,
     exactly, since the constructor certified that its words form a subspace.
-    A non-linear code takes the exhaustive pair scan, each word against all
-    later words, CHUNK differences per batch_rank, and is refused when its
-    pairs exceed ``pair_guard``.  ``seed`` is accepted for existing callers
-    and does nothing.
+    A non-linear code is refused when its pairs exceed ``pair_guard``, else
+    its k x l words are lifted to rowspace(I | A), which meet in dimension
+    k - rank(A - B), and scanned by grassmann.pairwise_intersection_dims.
+    ``seed`` is accepted for existing callers and does nothing.
     """
     m = len(code.words)
     if m < 2:
@@ -352,9 +345,9 @@ def min_rank_distance(code: RankMetricCode, pair_guard: int = PAIR_GUARD,
             f"{npairs} pairs exceed the guard ({pair_guard}) and the code is "
             "not linear; raise the guard to force the scan"
         )
-    words = code.words
-    code._delta = _min_rank((words[j:j + CHUNK] - words[i] for i in range(m - 1)
-                             for j in range(i + 1, m, CHUNK)), code.p)
+    from .grassmann import pairwise_intersection_dims  # grassmann imports this module
+    lifts = batch_lift(code.words, code.nrows + code.ncols)
+    code._delta = code.nrows - int(pairwise_intersection_dims(lifts, code.p, pair_guard).max())
     return code._delta
 
 

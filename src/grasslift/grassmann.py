@@ -388,6 +388,8 @@ class GrassmannianCode:
         code = cls(data["words"], data["p"], provenance=provenance)
         if (code.n, code.k) != (data["n"], data["k"]):
             raise ValueError("words do not match the declared (n, k)")
+        if {type(data["n"]), type(data["k"])} != {int}:  # 4.0 == 4 and true == 1
+            raise ValueError(f"declared n and k must be integers, got {data['n']!r}, {data['k']!r}")
         return code
 
     def __repr__(self):

@@ -9,11 +9,10 @@ whole stacks of small matrices; a single matrix is a stack of one.
 :func:`batch_rank` ranks two-row stacks by reducing the bottom row against
 the top row's pivot column and sends taller ones to that kernel.  The
 subspace pair scan sends it the remainders of all later words after
-reduction against one word's RREF basis; the rank-metric scan sends it
-chunks of word-pair differences, and the linearity certificate a basis and
-a few drawn words at a time.  Every array is reduced mod p by :func:`mod`,
-one floor division by the scalar p and a multiply-add, which numpy runs
-several times faster than its remainder on int64 arrays.
+reduction against one word's RREF basis, and the linearity certificate a
+basis and a few drawn words at a time.  Every array is reduced mod p by
+:func:`mod`, one floor division by the scalar p and a multiply-add, which
+numpy runs several times faster than its remainder on int64 arrays.
 """
 
 from __future__ import annotations

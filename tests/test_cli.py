@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -13,7 +14,8 @@ from grasslift import cli, codes, grassmann
 from grasslift.cli import main
 from grasslift.codes import build_image_code, weight_table_csv
 from grasslift.grassmann import anticode_optimal_code
-from grasslift.matfp import MatrixFp
+from grasslift.matfp import MatrixFp, batch_lift, mod
+from oracles import LARGEST_PRIME
 
 
 @pytest.fixture
@@ -183,6 +185,47 @@ def test_verify_refuses_the_distance_of_a_single_word(runner, tmp_path, checks):
     result = runner.invoke(main, ["verify", str(path), "--checks", checks])
     assert result.exit_code == 2, result.output
     assert "minimum distance needs at least two words" in result.output
+
+
+@pytest.mark.parametrize("p", [2, LARGEST_PRIME])
+@pytest.mark.parametrize("swap", [False, True], ids=["dual", "swapped"])
+def test_dual_involution_agrees_with_the_double_dual(runner, tmp_path, monkeypatch, p, swap):
+    # At the largest prime the words are lifts (I | A) of random 3 x 3
+    # matrices, whose duals' RREFs (I | -A^-T) share their free columns, so a
+    # word times its dual's transpose sums three products of up to 2^63 each;
+    # the (2, 1) code is over GF(2).
+    if p == 2:
+        code = anticode_optimal_code(2, 1, "O")
+    else:
+        rng = np.random.default_rng(5)
+        code = grassmann.GrassmannianCode(batch_lift(rng.integers(0, p, (4, 3, 3)), 6), p)
+    path = tmp_path / "code.json"
+    path.write_text(code.to_json())
+    duals = []
+
+    def dual_code(code, pair_guard):
+        dual = grassmann.dual_code(code, pair_guard)
+        if swap:  # the first two duals trade places: still a code, same (n, M, d, k)
+            words = dual.words[[1, 0, *range(2, dual.M)]]
+            dual = grassmann.GrassmannianCode(words, dual.p, dual.provenance)
+            dual.intersection_dims(pair_guard)
+        duals.append(dual)
+        return dual
+
+    monkeypatch.setattr(cli, "dual_code", dual_code)
+    result = runner.invoke(main, ["verify", str(path), "--checks", "dual"])
+    # The double dual, eliminated again, equals the words exactly when the
+    # duals are right.
+    expected = np.array_equal(grassmann.dual_bases(duals[0].words, p), code.words)
+    assert expected is not swap
+    # An int64 matmul wraps at the largest prime, and its residues are wrong.
+    wrapped = mod(code.words @ duals[0].words.transpose(0, 2, 1), p).any()
+    assert wrapped == (swap or p != 2)
+    assert result.exit_code == (1 if swap else 0), result.output
+    assert ("check dual (n,M,d) preserved, k complemented: claimed=True computed=True PASS"
+            in result.output)
+    verdict = "computed=True PASS" if expected else "computed=False FAIL"
+    assert f"check dual involution: claimed=True {verdict}" in result.output
 
 
 def test_verify_matrix_code_file(runner, tmp_path):
@@ -362,6 +405,11 @@ MALFORMED_FILES = {
     # verify and params would index into the number 5 or into null
     "subspace-claimed-not-object": _subspace_file([E12], provenance={"claimed": 5}),
     "subspace-claimed-null": _subspace_file([E12], provenance={"claimed": None}),
+    # 1.0 == 1 and true == 1: the declared shape must still be JSON integers
+    "matrix-float-shape": {**_matrix_file([[[0]], [[1]]]), "k": 1.0},
+    "matrix-boolean-shape": {**_matrix_file([[[0]], [[1]]]), "l": True},
+    "subspace-boolean-shape": {"p": 2, "n": 2, "k": True, "provenance": {},
+                               "words": [[[1, 0]], [[0, 1]]]},
 }
 
 
@@ -378,6 +426,23 @@ def test_malformed_code_files_exit_2_without_traceback(runner, tmp_path, name):
         assert isinstance(result.exception, SystemExit), (args[0], result.exception)
         assert "malformed code file" in result.output
         assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["verify", "params"])
+def test_declared_shapes_that_are_not_integers_exit_2(runner, tmp_path, command):
+    # The (2, 1) code's own file, which passes with "n": 4 and "k": 2.
+    data = anticode_optimal_code(2, 1, "O").to_dict()
+    path = tmp_path / "code.json"
+    for declared, shown in (({}, None), ({"n": 4.0, "k": 2.0}, "4.0, 2.0"),
+                            ({"k": 2.0}, "4, 2.0")):
+        path.write_text(json.dumps({**data, **declared}))
+        result = runner.invoke(main, [command, str(path)])
+        if shown is None:
+            assert result.exit_code == 0 and "RESULT: PASS" in result.output
+        else:
+            assert result.exit_code == 2, result.output
+            assert f"declared n and k must be integers, got {shown}" in result.output
+            assert "malformed code file" in result.output and "RESULT" not in result.output
 
 
 @pytest.mark.parametrize("data", ["n provenance", ["n", "provenance"]], ids=["string", "list"])

@@ -399,11 +399,16 @@ def test_min_nonzero_rank_matches_the_oracle_over_every_word(p, k, l, data):
     assert sorted(multiples) == sorted(tuple(w) for w in span.tolist() if any(w))
 
 
-def test_min_rank_distance_guard_for_non_linear():
+def test_min_rank_distance_guard_for_non_linear(monkeypatch):
+    # The guard refuses before any word is lifted.
+    monkeypatch.setattr(codes, "batch_lift", lambda *args: pytest.fail("lifted"))
     words = [[[i, 0], [0, 0]] for i in range(5)]
     code = RankMetricCode(words, 7)
     with pytest.raises(ValueError, match="guard"):
         min_rank_distance(code, pair_guard=2)
+    with pytest.raises(ValueError, match=r"10 pairs exceed the guard \(9\) and the code is "
+                                         "not linear"):
+        min_rank_distance(code, pair_guard=9)
 
 
 def test_singleton_max_dim():
@@ -702,17 +707,14 @@ def test_scan_counts_agree_with_materialized_ranks():
 @pytest.mark.parametrize("variant", ["O", "E"])
 @pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (7, 1), (7, 2),
                                   (5, 1), (5, 2), (11, 1), (11, 2)])
-def test_image_stream_matches_scalar_map_for_every_chunk_layout(monkeypatch, p, r, variant):
+def test_image_stream_matches_scalar_map_for_every_chunk_layout(p, r, variant):
     words = [variant_image(v, variant).to_lists() for v in enumerate_ext_vectors(p, r)]
     histogram = reference_rank_histogram(words, p)
     # Rank-1 words exist exactly off the construction primes, so p = 5 and
     # p = 11 exercise every term of the count.
     assert (histogram[1] > 0) == (p % 5 not in (2, 3))
-    # The histogram is counted from the p^2 coordinate blocks, so no batch
-    # size may change it.
-    for chunk in (1, p * p - 1, p ** (2 * r), 1 << 16):
-        monkeypatch.setattr(codes, "CHUNK", chunk)
-        assert image_rank_counts(p, r, variant) == histogram, chunk
+    # The histogram is counted from the p^2 coordinate blocks in one pass.
+    assert image_rank_counts(p, r, variant) == histogram
 
 
 def test_image_rank_counts_are_exact_beyond_int64():
@@ -743,34 +745,55 @@ def distinct_words(p, shape, draw_entries):
     return np.array(list(seen), dtype=np.int64).reshape(-1, *shape)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     p=st.sampled_from([2, 3, 5, 7]),
-    ncols=st.integers(1, 4),
-    entries=st.lists(st.lists(st.integers(0, 6), min_size=8, max_size=8),
-                     min_size=2, max_size=14),
-    chunk=st.integers(1, 5),
+    k=st.integers(1, 4),
+    l=st.integers(1, 4),
+    entries=st.lists(st.lists(st.integers(0, 6), min_size=16, max_size=16),
+                     min_size=2, max_size=20),
 )
-def test_pair_scan_matches_double_loop(p, ncols, entries, chunk):
-    words = distinct_words(p, (2, ncols), [e[:2 * ncols] for e in entries]).tolist()
+@example(p=2, k=4, l=1, entries=[[i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1] * 4
+                                 for i in range(16)])  # all of GF(2)^(4 x 1)
+def test_pair_scan_matches_double_loop(p, k, l, entries):
+    # The lifts are scanned on the words' side when k <= l and on their
+    # duals' when k > l.  With P = (p^h - 1) / (p - 1) points per word,
+    # h = min(k, l), the point scan runs when M >= 2P + 1 and the reduction
+    # scan below that; the draws reach both.
+    words = distinct_words(p, (k, l), [e[:k * l] for e in entries]).tolist()
     if len(words) < 2:
         return
-    # With up to 13 later words and CHUNK <= 5, a word's later words span
-    # several batches.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "CHUNK", chunk)
-        assert min_rank_distance(RankMetricCode(words, p)) == reference_pair_min_rank(words, p)
+    assert min_rank_distance(RankMetricCode(words, p)) == reference_pair_min_rank(words, p)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 4, 5, 100])
-def test_pair_scan_non_linear_codes_of_distance_one_and_two(monkeypatch, chunk):
+@pytest.mark.parametrize("m", [2, 6, 7, 12])
+def test_pair_scan_takes_both_sides_of_the_point_rule(monkeypatch, m):
+    # k = 2 and p = 2 give 3 points per lift: the point scan needs 3 M <=
+    # M (M - 1) / 2, that is M >= 7.  The words are m drawn 2 x 3 matrices
+    # and, tall, their transposes, whose lifts are scanned by their duals.
+    from grasslift import grassmann
+
+    calls = []
+    for name in ("_point_scan", "_reduction_scan", "dual_bases"):
+        fn = getattr(grassmann, name)
+        monkeypatch.setattr(grassmann, name,
+                            lambda b, p, name=name, fn=fn: calls.append(name) or fn(b, p))
+    rng = np.random.default_rng(m)
+    flat = rng.permutation(np.array(list(itertools.product(range(2), repeat=6))))[:m]
+    for words in (flat.reshape(m, 2, 3), flat.reshape(m, 2, 3).transpose(0, 2, 1)):
+        code = RankMetricCode(words, 2)
+        assert min_rank_distance(code) == reference_pair_min_rank(words.tolist(), 2)
+    scan = "_point_scan" if m >= 7 else "_reduction_scan"
+    assert calls == [scan, "dual_bases", scan]
+
+
+def test_pair_scan_non_linear_codes_of_distance_one_and_two():
     # Distance 1: B - A = [[-1, 1], [0, 0]] has rank 1, and its entries sum
     # to 0, so an unreduced difference would read as rank 0.
     one = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 1], [1, 0]]]
     # Distance 2: the eight nonzero words of the (3, 1) O image (no zero word,
-    # so not linear); the first word's 7 later words cross the chunks above.
+    # so not linear).
     two = [w.tolist() for w in build_image_code(3, 1, "O").words if w.any()]
-    monkeypatch.setattr(codes, "CHUNK", chunk)
     for words, p, d in ((one, 3, 1), (two, 3, 2)):
         assert reference_pair_min_rank(words, p) == d
         assert min_rank_distance(RankMetricCode(words, p)) == d
@@ -906,15 +929,13 @@ def scan_results():
     return out
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
 @pytest.mark.parametrize("callers", [1, 2, 3, 5])
-def test_scans_are_independent_of_the_split(monkeypatch, callers, chunk):
+def test_scans_are_independent_of_the_split(callers):
     # Every scan runs in its calling thread and keeps no state between calls,
     # so each of several threads calling at once gets the one-caller results.
     expected = scan_results()
     assert expected["sample p=5"] == 1
     assert expected["false linear"] == 1
-    monkeypatch.setattr(codes, "CHUNK", chunk)
     with ThreadPoolExecutor(callers) as pool:
         results = list(pool.map(lambda _: scan_results(), range(callers)))
     assert results == [expected] * callers
