@@ -787,14 +787,27 @@ def test_pair_scan_takes_both_sides_of_the_point_rule(monkeypatch, m):
     assert calls == [scan, "dual_bases", scan]
 
 
-def test_pair_scan_non_linear_codes_of_distance_one_and_two():
+@pytest.mark.parametrize("chunk", [1, 2, 4, 5, 100])
+def test_pair_scan_non_linear_codes_of_distance_one_and_two(monkeypatch, chunk):
+    from grasslift import grassmann
+
     # Distance 1: B - A = [[-1, 1], [0, 0]] has rank 1, and its entries sum
     # to 0, so an unreduced difference would read as rank 0.
     one = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 1], [1, 0]]]
     # Distance 2: the eight nonzero words of the (3, 1) O image (no zero word,
     # so not linear).
     two = [w.tolist() for w in build_image_code(3, 1, "O").words if w.any()]
-    for words, p, d in ((one, 3, 1), (two, 3, 2)):
+    # The 80 nonzero words of the (3, 2) O image (distance 2), the 81 false
+    # linear words (distance 1) and 20 drawn 3 x 3 words over GF(2) (distance
+    # 1) take the point scan, whose batches of grassmann.CHUNK points and
+    # collision pairs the chunk sizes above split.  A 3 x 3 pair at rank
+    # distance 1 shares 3 points, so a lost batch reads it as distance 2.
+    point_two = [w.tolist() for w in build_image_code(3, 2, "O").words if w.any()]
+    point_one = false_linear_words().tolist()
+    drawn = drawn_square_words().tolist()
+    monkeypatch.setattr(grassmann, "CHUNK", chunk)
+    for words, p, d in ((one, 3, 1), (two, 3, 2), (point_two, 3, 2), (point_one, 3, 1),
+                        (drawn, 2, 1)):
         assert reference_pair_min_rank(words, p) == d
         assert min_rank_distance(RankMetricCode(words, p)) == d
 
@@ -909,6 +922,12 @@ def false_linear_words():
     return words
 
 
+def drawn_square_words():
+    """20 distinct 3 x 3 words over GF(2), not a subspace, at rank distance 1."""
+    words = np.array(list(itertools.product(range(2), repeat=9))).reshape(-1, 3, 3)
+    return np.random.default_rng(3).permutation(words)[:20]
+
+
 def scan_results():
     """Every image and pair scan, the sampled one from one to 300 pairs."""
     out = {}
@@ -926,16 +945,24 @@ def scan_results():
         out[("above guard", len(words))] = min_rank_distance(
             RankMetricCode(words, 3, linear=True), pair_guard=1)
     out["false linear"] = min_rank_distance(RankMetricCode(false_linear_words(), 3))
+    out["drawn 3 x 3"] = min_rank_distance(RankMetricCode(drawn_square_words(), 2))
     return out
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
 @pytest.mark.parametrize("callers", [1, 2, 3, 5])
-def test_scans_are_independent_of_the_split(callers):
+def test_scans_are_independent_of_the_split(monkeypatch, callers, chunk):
     # Every scan runs in its calling thread and keeps no state between calls,
     # so each of several threads calling at once gets the one-caller results.
+    # The "false linear" and "drawn 3 x 3" words take the point scan, which
+    # works in batches of grassmann.CHUNK; no batch size may change a result.
+    from grasslift import grassmann
+
     expected = scan_results()
     assert expected["sample p=5"] == 1
     assert expected["false linear"] == 1
+    assert expected["drawn 3 x 3"] == 1
+    monkeypatch.setattr(grassmann, "CHUNK", chunk)
     with ThreadPoolExecutor(callers) as pool:
         results = list(pool.map(lambda _: scan_results(), range(callers)))
     assert results == [expected] * callers
