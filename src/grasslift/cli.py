@@ -37,11 +37,11 @@ from .grassmann import (
 )
 from .graph import (
     LABEL_MAX_P,
-    adjacency_csv,
+    adjacency_csv_blocks,
     degree_sequence,
+    dot_blocks,
     intersection_graph,
     is_complete,
-    to_dot,
     vertex_sidecar_json,
 )
 from .matfp import mod
@@ -308,6 +308,13 @@ def cmd_verify(code_path, checks, guard, seed):
     _finish(report, started)
 
 
+def _write_blocks(path: str, blocks) -> None:
+    """Write a writer's byte blocks to path as they come; the writer is
+    called, and so makes its refusals, before the file is opened."""
+    with open(path, "wb") as f:
+        f.writelines(blocks)
+
+
 @main.command("graph")
 @click.option("--p", type=int, required=True)
 @click.option("--r", type=int, required=True)
@@ -336,11 +343,11 @@ def cmd_graph(p, r, variant, out, adjacency, guard):
     report.add("edges", m_claim * (m_claim - 1) // 2, g.n_edges)
     report.add("degrees", {m_claim - 1}, set(degree_sequence(g)))
     report.add("complete", True, is_complete(g))
-    Path(out).write_text(to_dot(g))
+    _write_blocks(out, dot_blocks(g))
     Path(out + ".json").write_text(vertex_sidecar_json(g))
     report.notes.append(f"wrote {out} and {out}.json")
     if adjacency:
-        Path(adjacency).write_text(adjacency_csv(g))
+        _write_blocks(adjacency, adjacency_csv_blocks(g))
         report.notes.append(f"wrote {adjacency}")
     _finish(report, started)
 

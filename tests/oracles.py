@@ -180,6 +180,12 @@ def reference_to_dot(graph):
     return "".join(parts)
 
 
+def reference_adjacency_csv(graph):
+    """Adjacency CSV text of a CodeGraph, one joined line per row."""
+    return "".join(",".join("1" if x else "0" for x in row) + "\n"
+                   for row in graph.adjacency.tolist())
+
+
 def reference_adjacency(m, inters):
     """Symmetric (m, m) adjacency with an edge {i, j} iff the pair's
     intersection dimension (triu order) is 0, filled through np.triu_indices."""

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from grasslift import cli, codes, grassmann
 from grasslift.cli import main
 from grasslift.codes import build_image_code, weight_table_csv
 from grasslift.grassmann import anticode_optimal_code
+from grasslift.graph import adjacency_csv, intersection_graph, to_dot
 from grasslift.matfp import MatrixFp, batch_lift, mod
 from oracles import LARGEST_PRIME
 
@@ -668,6 +670,35 @@ def test_graph_command_refuses_p_above_label_range(runner, tmp_path, scans):
     assert isinstance(result.exception, SystemExit)
     assert "p <= 16" in result.output
     assert not scans and not dot.exists()
+    # A refused graph leaves an existing --out file as it was.
+    dot.write_bytes(b"kept \x00 bytes\n")
+    result = runner.invoke(main, ["graph", "--p", "17", "--r", "1", "--out", str(dot)])
+    assert result.exit_code == 2
+    assert dot.read_bytes() == b"kept \x00 bytes\n"
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (3, 2)])
+def test_graph_files_are_the_library_texts(runner, tmp_path, p, r):
+    dot, csv_path = tmp_path / "g.dot", tmp_path / "g.csv"
+    result = runner.invoke(main, ["graph", "--p", str(p), "--r", str(r), "--out", str(dot),
+                                  "--adjacency", str(csv_path)])
+    assert result.exit_code == 0, result.output
+    g = intersection_graph(anticode_optimal_code(p, r, "O"))
+    assert dot.read_bytes() == to_dot(g).encode("ascii")
+    assert csv_path.read_bytes() == adjacency_csv(g).encode("ascii")
+
+
+def test_graph_command_peak_memory_is_below_the_dot_file(runner, tmp_path):
+    # The DOT and CSV files go to disk in blocks: no whole-file text is held.
+    dot = tmp_path / "g.dot"
+    args = ["graph", "--p", "3", "--r", "3", "--out", str(dot),
+            "--adjacency", str(tmp_path / "g.csv")]
+    tracemalloc.start()
+    result = runner.invoke(main, args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert peak < dot.stat().st_size
 
 
 # ---------------------------------------------------------------------------

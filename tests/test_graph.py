@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from grasslift.grassmann import (GrassmannianCode, anticode_optimal_code,
                                  enumerate_grassmannian, span)
+from grasslift import graph as graph_module
 from grasslift.graph import (
     CodeGraph,
     adjacency_csv,
+    adjacency_csv_blocks,
     adjacency_matrix,
     degree_sequence,
+    dot_blocks,
     intersection_graph,
     is_complete,
     to_dot,
@@ -20,6 +23,7 @@ from grasslift.graph import (
 
 from oracles import (
     reference_adjacency,
+    reference_adjacency_csv,
     reference_dumps_with_array,
     reference_intersection_dims,
     reference_to_dot,
@@ -116,6 +120,28 @@ def test_code_graph_validation():
     assert degree_sequence(g) == [2, 2, 1, 1, 2]
 
 
+@pytest.mark.parametrize("vertices, p, match", [
+    ([[[1, 0, -1, 0]]], 2, r"\[0, 2\)"),  # was labelled "f"
+    ([[[1, 0, 5, 0]]], 2, r"\[0, 2\)"),   # was labelled "5"
+    ([[[0, 0, 3, 0]]], 3, r"\[0, 3\)"),
+    ([[[1, 0, 0, 0]]], 16, "not prime"),
+    ([[[1, 0, 0, 0]]], True, "integer"),
+    ([[1, 0, 0, 0]], 2, "3-D"),
+    ([[[1.0, 0, 0, 0]]], 2, "integers"),
+])
+def test_code_graph_refuses_vertices_outside_the_field(vertices, p, match):
+    with pytest.raises(ValueError, match=match):
+        CodeGraph(vertices, p, np.zeros((len(vertices), len(vertices)), dtype=bool))
+
+
+def test_dot_writer_refuses_p_above_label_range_when_called():
+    g = CodeGraph(np.zeros((1, 1, 2), dtype=np.int64), 17, np.zeros((1, 1), dtype=bool))
+    with pytest.raises(ValueError, match="p <= 16"):
+        dot_blocks(g)
+    with pytest.raises(ValueError, match="p <= 16"):
+        to_dot(g)
+
+
 def test_dot_output_exact():
     g = intersection_graph(two_word_intersecting_code())
     assert to_dot(g) == (
@@ -209,19 +235,31 @@ def random_graph(rng, m, p, density):
     return CodeGraph(vertices, p, upper | upper.T)
 
 
-# M crosses 10, 100 and 1000, where vertex names gain a digit.
+# M crosses 10, 100 and 1000, where vertex names gain a digit.  The writers'
+# blocks hold one part or row each (BLOCK of 1 or 2 bytes), a few (M + 1), or
+# the whole file.
 @pytest.mark.parametrize("m", [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
-def test_dot_matches_the_per_row_formula(m):
+def test_dot_matches_the_per_row_formula(m, monkeypatch):
     rng = np.random.default_rng(m)
-    for p, density in ((2, 0.0), (13, 0.05), (3, 0.5), (16, 1.0)):
-        g = random_graph(rng, m, p, density)
-        assert to_dot(g) == reference_to_dot(g)
-    complete = CodeGraph(g.vertices, g.p, ~np.eye(m, dtype=bool))
-    assert to_dot(complete) == reference_to_dot(complete)
+    graphs = [random_graph(rng, m, p, density)
+              for p, density in ((2, 0.0), (11, 0.05), (3, 0.5), (13, 1.0))]
+    graphs.append(CodeGraph(graphs[-1].vertices, graphs[-1].p, ~np.eye(m, dtype=bool)))
+    expected = [(reference_to_dot(g), reference_adjacency_csv(g)) for g in graphs]
+    for block in (1, 2, m + 1, 1 << 40):
+        monkeypatch.setattr(graph_module, "BLOCK", block)
+        for g, (dot, csv_text) in zip(graphs, expected):
+            assert to_dot(g) == dot
+            assert adjacency_csv(g) == csv_text
+            dot_parts, csv_parts = list(dot_blocks(g)), list(adjacency_csv_blocks(g))
+            # Every block but the last reaches BLOCK, and blocks are whole lines.
+            assert all(len(b) >= block for b in dot_parts[:-1] + csv_parts[:-1])
+            assert all(b.endswith(b"\n") for b in dot_parts + csv_parts)
+            if block > len(dot):
+                assert len(dot_parts) == len(csv_parts) == 1
 
 
 @settings(max_examples=150, deadline=None)
-@given(m=st.integers(1, 40), p=st.sampled_from([2, 3, 13, 16]),
+@given(m=st.integers(1, 40), p=st.sampled_from([2, 3, 11, 13]),
        density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_dot_matches_the_per_row_formula_on_small_graphs(m, p, density, seed):
     g = random_graph(np.random.default_rng(seed), m, p, density)
