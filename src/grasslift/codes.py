@@ -179,7 +179,7 @@ class RankMetricCode:
             if keys is None:
                 # A refused claim names the first of the plain checks that
                 # fails, in their order: duplicates, zero word, size, closure.
-                if has_duplicates(words):
+                if has_duplicates(words, p):
                     raise ValueError("duplicate words")
                 if words.any(axis=(1, 2)).all():
                     raise ValueError("a linear code must contain the zero matrix")
@@ -193,7 +193,7 @@ class RankMetricCode:
             by_key[keys] = np.arange(len(keys))
             points = by_key[np.concatenate([[0], *(np.arange(p**e, 2 * p**e)
                                                    for e in range(rho))])]
-        elif has_duplicates(words):
+        elif has_duplicates(words, p):
             raise ValueError("duplicate words")
         words.setflags(write=False)
         self.words, self.p = words, int(p)

@@ -11,9 +11,10 @@ Minimum distances are never taken on faith: every construction here
 recomputes them by a full pairwise scan and refuses to return an object
 whose parameters disagree with the scan.  The
 scan (:func:`pairwise_intersection_dims`) works on the words or, when
-2k > n, on their duals, since (A+B)^perp = A^perp n B^perp.  When that
-side's points are no more than the pairs, it lists each word's points,
-normalized, and sorts them all once: two subspaces meet in dimension t
+2k > n, on their duals, since (A+B)^perp = A^perp n B^perp; the duals are
+read off the RREF bases with no elimination.  When that side's points are
+no more than the pairs, it lists each word's points, normalized, and sorts
+their integer keys once: two subspaces meet in dimension t
 exactly when they share (p^t-1)/(p-1) points, so the colliding points give
 every pair's dimension, and pairs that share none meet in zero (the
 paper's codes and their duals have no collision at all).  Otherwise it
@@ -31,8 +32,8 @@ import math
 import numpy as np
 
 from .gf import is_prime, require_construction_prime
-from .matfp import (batch_lift, batch_rank, batch_rref, check_modulus, has_duplicates,
-                    int_array, mod, rref_null_space)
+from .matfp import (batch_lift, batch_rank, batch_rref, check_modulus, digit_keys,
+                    has_duplicates, int_array, key_order, mod, rref_null_space)
 from .codes import PAIR_GUARD, RankMetricCode, _blocks, _image_words
 
 ENUMERATION_GUARD = 1 << 20
@@ -65,21 +66,31 @@ def span(rows, p: int) -> np.ndarray:
     return reduced[0, :ranks[0]]
 
 
+def reversed_dual_bases(bases: np.ndarray, p: int) -> np.ndarray:
+    """RREF bases of the orthogonal complements of a (B, k, n) stack of RREF
+    bases, each with its columns reversed, read off with no elimination.
+
+    The kernel rows of an RREF matrix, with both axes reversed, are already
+    in RREF, since each kernel row has its free column's 1 right of every
+    other nonzero entry; and reversing the columns of every word maps the
+    complements to the complements of the reversed words.
+    """
+    return np.ascontiguousarray(rref_null_space(bases, p)[:, ::-1, ::-1])
+
+
 def dual_bases(bases: np.ndarray, p: int) -> np.ndarray:
     """RREF bases of the orthogonal complements of a (B, k, n) stack of RREF
     bases, eliminating min(k, n - k) rows per word.
 
     When 2k > n the (n - k)-row kernels read off the bases are canonicalized
     by one elimination.  Otherwise the column-reversed bases are eliminated
-    instead: the kernels of their RREFs, with both axes reversed, are
-    already in RREF, since each kernel row of an RREF matrix has its free
-    column's 1 right of every other nonzero entry.
+    instead, and :func:`reversed_dual_bases` of their RREFs reverses the
+    columns back.
     """
     _, k, n = bases.shape
     if 2 * k > n:
         return batch_rref(rref_null_space(bases, p), p)[0]
-    kernels = rref_null_space(batch_rref(bases[:, :, ::-1], p)[0], p)
-    return np.ascontiguousarray(kernels[:, ::-1, ::-1])
+    return reversed_dual_bases(batch_rref(bases[:, :, ::-1], p)[0], p)
 
 
 def gaussian_coefficient(n: int, k: int, q: int) -> int:
@@ -340,7 +351,7 @@ class GrassmannianCode:
             raise ValueError("a code needs at least one word")
         words = mod(int_array(words, 3), p)
         _require_rref(words)
-        if has_duplicates(words):
+        if has_duplicates(words, p):
             raise ValueError("duplicate words")
         words.setflags(write=False)
         self.words, self.p = words, int(p)
@@ -403,8 +414,10 @@ def pairwise_intersection_dims(bases: np.ndarray, p: int,
     k; empty when M < 2).
 
     One rule: scan the side of dimension h = min(k, n - k), the words when
-    2k <= n, else their duals (:func:`dual_bases`) with 2k - n added, since
-    (A+B)^perp = A^perp n B^perp.  When that side's M (p^h-1)/(p-1) points
+    2k <= n, else their duals with 2k - n added, since (A+B)^perp = A^perp n
+    B^perp.  The duals are read off the words with no elimination
+    (:func:`reversed_dual_bases`), their columns reversed, which changes no
+    intersection dimension.  When that side's M (p^h-1)/(p-1) points
     are no more than the M(M-1)/2 pairs, the point scan (:func:`_point_scan`)
     reads each pair's dimension off shared points at a cost growing with M;
     otherwise the one-vs-all reduction (:func:`_reduction_scan`) ranks each
@@ -419,7 +432,7 @@ def pairwise_intersection_dims(bases: np.ndarray, p: int,
     h = min(k, n - k)
     if m < 2 or h == 0:
         return np.full(npairs, k, dtype=np.min_scalar_type(k))
-    side = bases if h == k else dual_bases(bases, p)
+    side = bases if h == k else reversed_dual_bases(bases, p)
     scan = _point_scan if m * _point_count(h, p) <= npairs else _reduction_scan
     return np.add(scan(side, p), k - h, dtype=np.min_scalar_type(k))
 
@@ -450,30 +463,30 @@ def _point_scan(bases: np.ndarray, p: int) -> np.ndarray:
     A_i is in RREF, so if c_t = 1 is c's first nonzero coordinate, c A_i is
     zero before the pivot of row t and 1 at it: each point comes out
     normalized.
-    Equal points are then equal rows: one sort of their raw bytes puts each
-    point's words in one run, and every word pair in a run shares that
-    point.  A pair meeting in dimension t shares exactly (p^t-1)/(p-1)
-    points, which gives t; the collision pairs are expanded CHUNK at a time.
+    Equal points are then equal rows, and so equal rows of exact integer
+    keys (:func:`digit_keys`): one sort of the keys puts each point's words
+    in one run, and every word pair in a run shares that point.  A pair
+    meeting in dimension t shares exactly (p^t-1)/(p-1) points, which gives
+    t; the collision pairs are expanded CHUNK at a time.
     """
     m, k, n = bases.shape
     coeffs = _normalized_vectors(k, p)
     per_word = len(coeffs)
-    points = np.empty((m, per_word, n), dtype=np.min_scalar_type(p - 1))
-    step = max(1, CHUNK // per_word)
-    for lo in range(0, m, step):
-        block = bases[lo:lo + step, None]
+
+    def point_keys(block: np.ndarray) -> np.ndarray:
         acc = np.zeros((len(block), per_word, n), dtype=np.int64)
         # One term per basis row, reduced each time: entries stay below p + p^2.
         for t in range(k):
             acc += coeffs[:, t, None] * block[:, :, t]
             mod(acc, p, out=acc)
-        points[lo:lo + step] = acc
-    rows = points.reshape(m * per_word, n)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
-    order = np.argsort(keys)
+        return digit_keys(acc.reshape(-1, n), p)
+
+    step = max(1, CHUNK // per_word)
+    keys = np.concatenate([point_keys(bases[lo:lo + step, None]) for lo in range(0, m, step)])
+    order = key_order(keys)
     word, keys = order // per_word, keys[order]
     new_run = np.ones(len(keys), dtype=bool)
-    new_run[1:] = keys[1:] != keys[:-1]
+    new_run[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     # Sorted position q pairs with the later[q] positions after it in its run.
     run_end = np.append(np.flatnonzero(new_run[1:]) + 1, len(keys))
     later = run_end[np.cumsum(new_run) - 1] - np.arange(len(keys)) - 1

@@ -12,10 +12,15 @@ subspace pair scan sends it the remainders of all later words after
 reduction against one word's RREF basis, and the linearity certificate a
 basis and a few drawn words at a time.  Every array is reduced mod p by
 :func:`mod`, one floor division by the scalar p and a multiply-add, which
-numpy runs several times faster than its remainder on int64 arrays.
+numpy runs several times faster than its remainder on int64 arrays.  Rows
+are compared and sorted by exact int64 keys, their entries read as base-p
+digits (:func:`digit_keys`), never by their raw bytes: one argsort of one
+key column is about ten times faster than a sort of void rows.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,16 +61,53 @@ def mod(a: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(a, q, out=out)
 
 
-def has_duplicates(stack: np.ndarray) -> bool:
-    """True iff two matrices of a (B, R, C) stack are equal: one sort of
-    their raw bytes."""
+@lru_cache(maxsize=64)
+def _key_weights(p: int) -> np.ndarray:
+    """p^(e-1), ..., p, 1 for the largest e with p^e <= 2^63: 63 weights at
+    p = 2 and 2 at every p up to MAX_MODULUS, so a key never wraps."""
+    e = 1
+    while p ** (e + 1) <= 1 << 63:
+        e += 1
+    weights = np.array([p**i for i in range(e - 1, -1, -1)], dtype=np.int64)
+    weights.setflags(write=False)
+    return weights
+
+
+def digit_keys(rows: np.ndarray, p: int) -> np.ndarray:
+    """Exact int64 keys of the rows of an (N, C) array with entries in [0, p):
+    each row's entries read as base-p digits, most significant first, as
+    many per key column as keep the key below 2^63 (:func:`_key_weights`).
+    Two rows are equal iff their key rows are, and the keys order the rows
+    lexicographically.
+    """
+    weights = _key_weights(int(p))
+    per, ncols = len(weights), rows.shape[1]
+    # Each column is one dot product of at most `per` digits with the
+    # weights, whose partial sums all lie below the key itself.
+    return np.stack([rows[:, lo:lo + per] @ weights[max(0, lo + per - ncols):]
+                     for lo in range(0, ncols, per)], axis=1)
+
+
+def key_order(keys: np.ndarray) -> np.ndarray:
+    """The order that sorts the rows of an (N, K) key array: one argsort of
+    a single column, which numpy runs several times faster than lexsort,
+    else a lexicographic sort, first column first."""
+    if keys.shape[1] == 1:
+        return np.argsort(keys[:, 0])
+    return np.lexsort(keys.T[::-1])
+
+
+def has_duplicates(stack: np.ndarray, p: int) -> bool:
+    """True iff two matrices of a (B, R, C) stack with entries in [0, p) are
+    equal: one sort of their :func:`digit_keys`."""
     if len(stack) < 2:
         return False
-    rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    rows = stack.reshape(len(stack), -1)
     if not rows.shape[1]:
         return True  # two empty matrices are equal
-    keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
-    return bool((keys[1:] == keys[:-1]).any())
+    keys = digit_keys(rows, p)
+    keys = keys[key_order(keys)]
+    return bool((keys[1:] == keys[:-1]).all(axis=1).any())
 
 
 class MatrixFp:

@@ -770,11 +770,12 @@ def test_pair_scan_matches_double_loop(p, k, l, entries):
 def test_pair_scan_takes_both_sides_of_the_point_rule(monkeypatch, m):
     # k = 2 and p = 2 give 3 points per lift: the point scan needs 3 M <=
     # M (M - 1) / 2, that is M >= 7.  The words are m drawn 2 x 3 matrices
-    # and, tall, their transposes, whose lifts are scanned by their duals.
+    # and, tall, their transposes, whose lifts are scanned by their duals,
+    # read off the lifts with no elimination.
     from grasslift import grassmann
 
     calls = []
-    for name in ("_point_scan", "_reduction_scan", "dual_bases"):
+    for name in ("_point_scan", "_reduction_scan", "reversed_dual_bases", "batch_rref"):
         fn = getattr(grassmann, name)
         monkeypatch.setattr(grassmann, name,
                             lambda b, p, name=name, fn=fn: calls.append(name) or fn(b, p))
@@ -784,7 +785,7 @@ def test_pair_scan_takes_both_sides_of_the_point_rule(monkeypatch, m):
         code = RankMetricCode(words, 2)
         assert min_rank_distance(code) == reference_pair_min_rank(words.tolist(), 2)
     scan = "_point_scan" if m >= 7 else "_reduction_scan"
-    assert calls == [scan, "dual_bases", scan]
+    assert calls == [scan, "reversed_dual_bases", scan]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 4, 5, 100])

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grasslift import grassmann
-from grasslift.codes import RankMetricCode, build_image_code
+from grasslift.codes import RankMetricCode, build_image_code, min_rank_distance
 from grasslift.graph import intersection_graph, is_complete
-from grasslift.matfp import batch_rref
+from grasslift.matfp import batch_lift, batch_rref
 from grasslift.grassmann import (
     GrassmannianCode,
     anticode_bound,
@@ -638,18 +638,28 @@ def test_dual_bases_match_the_oracle_at_every_shape(n, k):
 def test_code_checks_eliminate_nothing_and_duals_the_smaller_side(monkeypatch):
     # Every dual of a (6, 21, 4, 2) code eliminates one 2-row stack: the
     # reversed words for the planes, the kernels for their 4-dimensional
-    # duals.  The constructor checks the words without eliminating them, so
-    # dual_code eliminates twice: once to build the duals, once for their
-    # own pair scan, which runs on the duals' duals.
+    # duals.  The constructor checks the words without eliminating them, and
+    # the duals' own pair scan reads their duals off their RREF bases, so
+    # dual_code eliminates once, to build the duals.
     shapes = []
     monkeypatch.setattr(grassmann, "batch_rref",
                         lambda a, p, fn=batch_rref: shapes.append(a.shape) or fn(a, p))
     code = anticode_optimal_code(2, 2, "O")
     assert shapes == []
     dual = dual_code(code)
-    assert shapes == [(21, 2, 6)] * 2
+    assert shapes == [(21, 2, 6)]
     assert np.array_equal(grassmann.dual_bases(dual.words, 2), code.words)
-    assert shapes == [(21, 2, 6)] * 3
+    assert shapes == [(21, 2, 6)] * 2
+
+    # The duals' scan, rerun from their words alone, eliminates nothing and
+    # gives the table dual_code read off.
+    def refuse(*args):
+        raise AssertionError("the pair scan eliminated a stack")
+
+    monkeypatch.setattr(grassmann, "batch_rref", refuse)
+    again = pairwise_intersection_dims(dual.words, 2)
+    assert np.array_equal(again, dual.intersection_dims())
+    assert np.array_equal(again, code.intersection_dims() + 2)
 
 
 def test_dual_code_params():
@@ -819,6 +829,54 @@ def test_point_scan_matches_reduction_and_python_int_reference(p, n, data):
     points, reduction = grassmann._point_scan(bases, p), grassmann._reduction_scan(bases, p)
     assert points.dtype == reduction.dtype == np.min_scalar_type(k)
     assert points.tolist() == reduction.tolist() == reference_intersection_dims(words, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), data=st.data())
+def test_point_scan_keys_of_two_columns_at_p13(k, data):
+    # A point key holds 17 base-13 digits, so points of GF(13)^18 take two
+    # key columns.  A twin of a word differs from it only in the last entry
+    # of its first row, so its points that use that row agree with the
+    # word's on the first key column and differ on the second.
+    p, n = 13, 18
+    words = draw_words(data, p, n, k, repeats=True)
+    for word in words[:3]:
+        if n - 1 not in (word != 0).argmax(axis=1):
+            twin = word.copy()
+            twin[0, -1] = (twin[0, -1] + 1) % p
+            words.append(twin)
+    bases = np.stack(words)
+    points, reduction = grassmann._point_scan(bases, p), grassmann._reduction_scan(bases, p)
+    assert points.tolist() == reduction.tolist() == reference_intersection_dims(words, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 2), *[st.sampled_from(
+    [0, 1, 5, LARGEST_PRIME - 2, LARGEST_PRIME - 1])] * 2), min_size=2, max_size=10))
+def test_point_scan_keys_of_two_columns_at_the_largest_prime(rows):
+    # Two base-p digits fill a key at LARGEST_PRIME, so points of GF(p)^3
+    # take two key columns.  The lines are drawn from few entries, so their
+    # points repeat, or agree on the first key column only.
+    p = LARGEST_PRIME
+    words = []
+    for lead, a, b in rows:
+        words.append(np.array([[1, a, b], [0, 1, a], [0, 0, 1]][lead], dtype=np.int64)[None])
+    bases = np.stack(words)
+    points, reduction = grassmann._point_scan(bases, p), grassmann._reduction_scan(bases, p)
+    assert points.tolist() == reduction.tolist() == reference_intersection_dims(words, p)
+
+
+def test_point_scan_reads_every_key_column(monkeypatch):
+    # The lifts (1, 5, 1), (1, 5, 2), (1, 5, 3) and (1, 6, 1) over
+    # GF(LARGEST_PRIME) are four points whose keys are (5 + p, x): three of
+    # them agree on the first key column.  Read off that column alone, they
+    # would meet, and the matrix code would read distance 0.
+    p = LARGEST_PRIME
+    words = [[[5, 1]], [[5, 2]], [[5, 3]], [[6, 1]]]
+    calls = record_scans(monkeypatch)
+    assert pairwise_intersection_dims(batch_lift(np.array(words), 3), p).tolist() == [0] * 6
+    assert calls == ["_point_scan"]
+    assert min_rank_distance(RankMetricCode(words, p)) == 1
 
 
 @pytest.mark.parametrize("bases, p", [

@@ -13,8 +13,10 @@ from grasslift.matfp import (
     batch_rank,
     batch_rref,
     check_modulus,
+    digit_keys,
     has_duplicates,
     int_array,
+    key_order,
     mod,
     rref_null_space,
 )
@@ -97,7 +99,44 @@ def test_non_integer_moduli_are_refused():
 def test_has_duplicates_matches_a_set_of_rows(shape, p, seed):
     stack = np.random.default_rng(seed).integers(0, p, size=shape)
     rows = {tuple(m.ravel().tolist()) for m in stack}
-    assert has_duplicates(stack) == (len(rows) < len(stack))
+    assert has_duplicates(stack, p) == (len(rows) < len(stack))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 13, LARGEST_PRIME]),
+    size=st.sampled_from(["below", "at", "above", "two", "one"]),
+    nwords=st.integers(0, 12),
+    zero=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(p=2, size="at", nwords=5, zero=True, seed=0)
+@example(p=LARGEST_PRIME, size="above", nwords=4, zero=True, seed=0)
+def test_has_duplicates_keys_at_every_word_size(p, size, nwords, zero, seed):
+    # A key holds the most base-p digits that stay below 2^63: 63 at p = 2,
+    # 39 at p = 3, 17 at p = 13 and 2 at LARGEST_PRIME.  Words one entry
+    # short of, equal to and one past that count, and past two keys, cover
+    # the last key column's partial width; all-zero stacks have every key 0.
+    per = {2: 63, 3: 39, 13: 17, LARGEST_PRIME: 2}[p]
+    assert p ** per <= 2**63 < p ** (per + 1)
+    entries = {"below": per - 1, "at": per, "above": per + 1, "two": 2 * per + 1, "one": 1}[size]
+    rng = np.random.default_rng(seed)
+    if zero:
+        stack = np.zeros((nwords, 1, entries), dtype=np.int64)
+    else:
+        # Few distinct words, so repeats occur, and entries near p - 1.
+        pool = rng.integers(max(0, p - 3), p, size=(3, 1, entries))
+        pool[:, 0, rng.integers(entries)] = rng.integers(0, p, size=3)
+        stack = pool[rng.integers(0, 3, size=nwords)]
+    rows = {tuple(m.ravel().tolist()) for m in stack}
+    assert has_duplicates(stack, p) == (len(rows) < len(stack))
+    if not zero:
+        # Keys order rows as tuples do.
+        flat = stack.reshape(len(stack), entries)
+        keys = digit_keys(flat, p)
+        assert keys.shape[1] == -(-entries // per)
+        assert [tuple(r) for r in flat[key_order(keys)].tolist()] == sorted(
+            tuple(r) for r in flat.tolist())
 
 
 def test_moduli_above_the_int64_ceiling_are_refused():
